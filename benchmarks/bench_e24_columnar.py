@@ -88,7 +88,6 @@ def _measure(db: Database, plan, columnar: bool, repeats: int):
     rows = None
     for _ in range(repeats):
         context = ExecContext(db.params)
-        context.batch_mode = True
         context.columnar_mode = columnar
         started = time.perf_counter()
         _schema, rows = execute(plan, db.catalog, context)

@@ -429,8 +429,6 @@ class Database:
         fault_injector: Optional[FaultInjector] = None,
         use_feedback: bool = True,
         adaptive: Optional[AdaptiveConfig] = None,
-        batch_mode: bool = True,
-        compiled_expressions: bool = True,
         columnar_mode: bool = False,
         parallel_mode: bool = False,
         max_dop: int = 4,
@@ -454,11 +452,6 @@ class Database:
             CardinalityFeedback() if use_feedback else None
         )
         self.adaptive = adaptive
-        # Execution-engine knobs: the batch-iterator engine and compiled
-        # expressions are the default; turning either off selects the
-        # legacy materializing / tree-walking oracle paths.
-        self.batch_mode = batch_mode
-        self.compiled_expressions = compiled_expressions
         # Columnar (vectorized) execution: batches travel as numpy
         # columns and the physicalizer prices CPU with the vectorized
         # discount.  Off by default; the row-batch engine is the oracle.
@@ -901,8 +894,6 @@ class Database:
         context.cancel_token = self.cancel_token
         context.fault_injector = self.fault_injector
         context.feedback = self.feedback
-        context.batch_mode = self.batch_mode
-        context.compiled_expressions = self.compiled_expressions
         context.columnar_mode = self.columnar_mode
         context.parallel_mode = self.parallel_mode
         context.max_dop = self.max_dop

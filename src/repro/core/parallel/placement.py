@@ -31,8 +31,8 @@ Supported region shapes mirror the runtime's worker twins:
 * distinct: input hash-partitioned on all columns;
 * expensive UDF filters: input round-robin (embarrassingly parallel).
 
-Plans produced here remain valid on every engine: the legacy and
-serial streaming engines treat Exchange/Gather as accounting
+Plans produced here remain valid on every engine: the serial
+row-batch and columnar engines treat Exchange/Gather as accounting
 pass-throughs, so ``parallel_mode=False`` executes the same tree as the
 bit-identical differential oracle.
 """

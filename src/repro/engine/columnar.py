@@ -1,9 +1,9 @@
 """The columnar batch engine: numpy column payloads between operators.
 
-Third execution strategy beside the row-batch engine and the legacy
-materializing engine (see :mod:`repro.engine.executor`).  Activated by
-``ExecContext.columnar_mode = True`` (only meaningful on top of
-``batch_mode``); the row-batch path stays the differential oracle.
+The vectorized alternative to the row-batch engine (see
+:mod:`repro.engine.executor`).  Activated by
+``ExecContext.columnar_mode = True``; the row-batch path stays the
+differential oracle.
 
 Batches are :class:`ColumnarBatch` objects -- one
 :class:`~repro.expr.vector.VColumn` (numpy values + boolean validity
@@ -26,7 +26,7 @@ aggregate kernels below.  NaN *join, group, and distinct keys* are
 canonicalized to one shared NaN object on every backend (see
 ``executor._canon_key_part``), so NaN==NaN as a key everywhere and
 columnar transport -- which cannot preserve float object identity --
-agrees with both row engines.
+agrees with the row-batch engine.
 """
 
 from __future__ import annotations
@@ -623,9 +623,9 @@ def _cstream_hash_join(
         _SUPPORTED_JOIN_KINDS,
         _key_getter,
         _partition_of,
-        _predicate_fn,
         _spill_partitions,
     )
+    from repro.expr.compiler import compile_predicate
 
     if op.kind not in _SUPPORTED_JOIN_KINDS:
         raise ExecutionError(f"hash join cannot run kind {op.kind}")
@@ -663,7 +663,7 @@ def _cstream_hash_join(
         left_key = _key_getter(left_schema, op.left_keys)
         right_key = _key_getter(right_schema, op.right_keys)
         residual = (
-            _predicate_fn(op.residual, combined, ctx)
+            compile_predicate(op.residual, combined)
             if op.residual is not None
             else None
         )

@@ -162,17 +162,11 @@ class ExecContext:
             finished run's per-operator actuals into it.
         feedback_summary: what the harvest of the most recent execution
             recorded (operators seen, observations, worst misestimate).
-        batch_mode: run the pull-based batch-iterator executor (the
-            default); False selects the legacy materialize-everything
-            path, kept as a differential oracle.
-        compiled_expressions: evaluate predicates/scalars through
-            closures compiled once per operator; False falls back to
-            the tree-walking evaluator (the semantic oracle).
-        columnar_mode: on top of batch_mode, move numpy column arrays
-            (with explicit NULL validity masks) between operators and
-            evaluate expressions as whole-batch vector kernels; False
-            (the default) keeps the row-batch path, which doubles as
-            the columnar engine's differential oracle.
+        columnar_mode: move numpy column arrays (with explicit NULL
+            validity masks) between operators and evaluate expressions
+            as whole-batch vector kernels; False (the default) keeps the
+            row-batch path, which doubles as the columnar engine's
+            differential oracle.
     """
 
     def __init__(self, params: Optional[CostParameters] = None) -> None:
@@ -191,14 +185,12 @@ class ExecContext:
         # Progressive-optimization state (validity-range CHECKs, replans,
         # checkpointed intermediates); None runs the plan statically.
         self.adaptive: Optional["AdaptiveState"] = None
-        self.batch_mode: bool = True
-        self.compiled_expressions: bool = True
         self.columnar_mode: bool = False
         # Intra-query parallelism: when True, Gather operators placed by
         # the optimizer fan their region out across a worker-thread pool
         # (repro.engine.parallel); False executes the same plan serially
         # with exchanges as accounting pass-throughs -- the differential
-        # oracle, same pattern as batch_mode/columnar_mode.  max_dop
+        # oracle, same pattern as columnar_mode.  max_dop
         # caps the degree any single region may use.
         self.parallel_mode: bool = False
         self.max_dop: int = 4

@@ -1,9 +1,8 @@
 """Physical DML execution: the fault-hardened write path.
 
-One module serves all three engines -- the legacy row-at-a-time
-executor, the batch-iterator engine, and the columnar engine all
-delegate to the same per-row write sequence, because writes are
-row-oriented no matter how the reads were vectorized.
+One module serves both engines -- the row-batch engine and the
+columnar engine delegate to the same per-row write sequence, because
+writes are row-oriented no matter how the reads were vectorized.
 
 The write sequence for every mutated row is strictly ordered so that a
 failure at any point leaves the statement cleanly abortable:
@@ -39,8 +38,9 @@ from typing import Any, List, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.engine.context import ExecContext
-from repro.engine.executor import _collect, _predicate_fn, _scalar_fn
+from repro.engine.executor import _collect
 from repro.errors import ExecutionError
+from repro.expr.compiler import compile_predicate, compile_scalar
 from repro.expr.schema import StreamSchema
 from repro.physical.plans import DML_SCHEMA, DeleteP, InsertP, UpdateP
 from repro.storage.table import HeapTable
@@ -97,7 +97,7 @@ def _matching_rows(
     that satisfy the predicate.  Materializing first means mutations
     made by this very statement can never re-enter the scan."""
     schema = StreamSchema.for_table(op_table, table.schema.column_names)
-    keep = _predicate_fn(predicate, schema, ctx)
+    keep = compile_predicate(predicate, schema)
     for page_no in range(table.page_count):
         ctx.read_page(op_table, page_no, sequential=True)
     matches: List[Tuple[int, Row]] = []
@@ -130,7 +130,7 @@ def _run_insert(op: InsertP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
         for value_exprs in op.rows:
             rows.append(
                 tuple(
-                    _scalar_fn(expr, _EMPTY_SCHEMA, ctx)(()) for expr in value_exprs
+                    compile_scalar(expr, _EMPTY_SCHEMA)(()) for expr in value_exprs
                 )
             )
     count = 0
@@ -176,7 +176,7 @@ def _run_update(op: UpdateP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
     txn.manager.register_write(txn, op.table, table)
     schema = StreamSchema.for_table(op.table, table.schema.column_names)
     setters = [
-        (position, _scalar_fn(expr, schema, ctx))
+        (position, compile_scalar(expr, schema))
         for position, expr in op.assignments
     ]
     matches = _matching_rows(op.table, table, op.predicate, ctx)
@@ -234,13 +234,10 @@ def register_columnar(handlers: dict) -> None:
     handlers[DeleteP] = _columnar_adapter(_run_delete)
 
 
-# Row and batch engines register here (imported at the bottom of
-# executor.py, after both dispatch tables exist).
+# The row-batch engine registers here (imported at the bottom of
+# executor.py, after its dispatch table exists).
 from repro.engine import executor as _executor  # noqa: E402
 
-_executor._HANDLERS[InsertP] = _run_insert
-_executor._HANDLERS[UpdateP] = _run_update
-_executor._HANDLERS[DeleteP] = _run_delete
 _executor._STREAM_HANDLERS[InsertP] = _stream_insert
 _executor._STREAM_HANDLERS[UpdateP] = _stream_update
 _executor._STREAM_HANDLERS[DeleteP] = _stream_delete

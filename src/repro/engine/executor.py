@@ -6,24 +6,17 @@ UDF calls) in the :class:`~repro.engine.context.ExecContext`.
 Benchmarks use these counters as the *measured* cost to validate
 optimizer estimates.
 
-Two execution strategies share this module:
-
-* the **batch-iterator engine** (default, ``ctx.batch_mode=True``):
-  operators are generators that yield row batches of
-  ``params.batch_size`` rows, pulled demand-driven from the root.
-  Streaming operators (scans, filters, projections, the probe side of a
-  hash join, LIMIT) hold at most one batch; only declared pipeline
-  breakers (see :attr:`PhysicalOp.is_pipeline_breaker`) materialize
-  their input.  Each operator's high-water materialization is recorded
-  as ``peak_resident_rows`` in the runtime stats.  Scalar expressions
-  are compiled once per operator into closures
-  (:mod:`repro.expr.compiler`) unless ``ctx.compiled_expressions`` is
-  off.
-* the **legacy materializing engine** (``ctx.batch_mode=False``):
-  every operator materializes its full output.  It is kept verbatim as
-  the differential-testing oracle for the batch engine.
-
-Both produce bit-identical rows and counters for full result drains.
+Operators are generators that yield row batches of ``params.batch_size``
+rows, pulled demand-driven from the root.  Streaming operators (scans,
+filters, projections, the probe side of a hash join, LIMIT) hold at
+most one batch; only declared pipeline breakers (see
+:attr:`PhysicalOp.is_pipeline_breaker`) materialize their input.  Each
+operator's high-water materialization is recorded as
+``peak_resident_rows`` in the runtime stats.  Scalar expressions are
+compiled once per operator into closures (:mod:`repro.expr.compiler`).
+With ``ctx.columnar_mode`` the same plan runs on the columnar engine
+(:mod:`repro.engine.columnar`), which bridges unsupported operators
+back to this module's row-batch driver.
 
 Robustness hooks run throughout: the context's
 :class:`~repro.engine.governor.ResourceGovernor` is consulted at
@@ -45,12 +38,12 @@ from repro.catalog.catalog import Catalog
 from repro.cost.model import pages_for_rows
 from repro.engine.adaptive import ReoptimizeSignal, splice_checkpoints
 from repro.engine.context import ExecContext
-from repro.engine.interpreter import InterpreterStats, interpret, sort_rows
+from repro.engine.interpreter import InterpreterStats, sort_rows
 from repro.engine.runtime_stats import RuntimeStats
 from repro.errors import ExecutionError, MemoryBudgetExceeded
 from repro.expr.compiler import compile_predicate, compile_scalar
-from repro.expr.evaluator import bind_parameters, evaluate, predicate_holds
-from repro.expr.expressions import ColumnRef, Expr
+from repro.expr.evaluator import bind_parameters
+from repro.expr.expressions import ColumnRef
 from repro.expr.schema import StreamSchema
 from repro.logical.operators import JoinKind
 from repro.stats.feedback import harvest_feedback
@@ -190,16 +183,14 @@ def _run_adaptive(
 
 
 def _collect(op: PhysicalOp, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    """Fully evaluate a plan with whichever engine the context selects."""
-    if ctx.batch_mode:
-        if ctx.columnar_mode:
-            # Imported lazily: the columnar engine reuses this module's
-            # row-batch driver for bridged operators.
-            from repro.engine.columnar import drain_columns
+    """Fully evaluate a plan on the row-batch or columnar engine."""
+    if ctx.columnar_mode:
+        # Imported lazily: the columnar engine reuses this module's
+        # row-batch driver for bridged operators.
+        from repro.engine.columnar import drain_columns
 
-            return drain_columns(op, catalog, ctx)
-        return _drain(op, catalog, ctx)
-    return _run(op, catalog, ctx)
+        return drain_columns(op, catalog, ctx)
+    return _drain(op, catalog, ctx)
 
 
 def _plan_has_limit(plan: PhysicalOp) -> bool:
@@ -207,337 +198,11 @@ def _plan_has_limit(plan: PhysicalOp) -> bool:
 
 
 # ======================================================================
-# Legacy materializing engine (the differential-testing oracle)
+# Shared row helpers (also imported by the columnar and parallel engines)
 # ======================================================================
-def _run(op: PhysicalOp, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    handler = _HANDLERS.get(type(op))
-    if handler is None:
-        for op_type, candidate in _HANDLERS.items():
-            if isinstance(op, op_type):
-                handler = candidate
-                break
-    if handler is None:
-        raise ExecutionError(f"no executor for {type(op).__name__}")
-    governor = ctx.governor
-    if governor is not None:
-        # Operator batch boundary: the cheapest place to observe budget
-        # violations and cancellations with full-check fidelity.
-        governor.check()
-    if ctx.runtime is None:
-        rows = handler(op, catalog, ctx)
-        if governor is not None:
-            governor.on_rows(len(rows))
-        return rows
-    node = ctx.runtime.node_for(op)
-    pages_before = ctx.counters.total_page_reads
-    retries_before = ctx.counters.retries
-    start = time.perf_counter()
-    rows = handler(op, catalog, ctx)
-    node.wall_seconds += time.perf_counter() - start
-    node.pages_read += ctx.counters.total_page_reads - pages_before
-    # Cumulative over the subtree, like pages_read; the renderer
-    # subtracts children to show each operator's own absorbed retries.
-    node.retries += ctx.counters.retries - retries_before
-    node.invocations += 1
-    node.actual_rows += len(rows)
-    # The materializing engine holds every operator's entire output.
-    node.peak_resident_rows = max(node.peak_resident_rows, len(rows))
-    if governor is not None:
-        governor.on_rows(len(rows))
-    return rows
-
-
 def _row_width(schema: StreamSchema) -> float:
     """Modelled bytes per row of a stream, from slot types where known."""
     return schema.row_width_bytes()
-
-
-# ----------------------------------------------------------------------
-# Scans
-# ----------------------------------------------------------------------
-def _run_seq_scan(op: SeqScanP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    table = catalog.table(op.table)
-    schema = op.output_schema()
-    governor = ctx.governor
-    out: List[Row] = []
-    for page_no in range(table.page_count):
-        ctx.read_page(op.table, page_no, sequential=True)
-    for _row_id, row in table.visible_rows(ctx.snapshot):
-        if governor is not None:
-            governor.tick()
-        if op.predicate is not None:
-            ctx.counters.rows_compared += 1
-            if not predicate_holds(op.predicate, row, schema):
-                continue
-        out.append(tuple(row))
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_index_scan(op: IndexScanP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    table = catalog.table(op.table)
-    index = catalog.index(op.index_name)
-    schema = op.output_schema()
-    # Traverse the index: height pages randomly, through the buffer pool.
-    for level in range(index.height):
-        ctx.read_page(f"idx:{op.index_name}", -(level + 1), sequential=False)
-    site = f"idx:{op.index_name}"
-    if op.eq_value is not None:
-        row_ids = ctx.index_lookup(lambda: index.seek_prefix(op.eq_value), site)
-    elif op.low is not None or op.high is not None:
-        row_ids = ctx.index_lookup(
-            lambda: index.range(
-                op.low,
-                op.high,
-                include_low=not op.low_strict,
-                include_high=not op.high_strict,
-            ),
-            site,
-        )
-    else:
-        row_ids = ctx.index_lookup(index.ordered_row_ids, site)
-    # Leaf pages covered by the scan.
-    if index.page_count:
-        covered = max(1, round(index.page_count * len(row_ids) / max(index.entry_count, 1)))
-        for leaf in range(covered):
-            ctx.read_page(f"idx:{op.index_name}", leaf, sequential=True)
-    clustered = index.definition.clustered
-    governor = ctx.governor
-    out: List[Row] = []
-    for row_id in row_ids:
-        if governor is not None:
-            governor.tick()
-        # Index entries are not versioned: filter dead versions here.
-        if not table.row_visible(row_id, ctx.snapshot):
-            continue
-        ctx.read_page(op.table, table.page_of(row_id), sequential=clustered)
-        row = table.fetch(row_id)
-        if op.predicate is not None:
-            ctx.counters.rows_compared += 1
-            if not predicate_holds(op.predicate, row, schema):
-                continue
-        out.append(tuple(row))
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Stream operators
-# ----------------------------------------------------------------------
-def _run_filter(op: FilterP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    schema = op.child.output_schema()
-    governor = ctx.governor
-    out = []
-    for row in rows:
-        if governor is not None:
-            governor.tick()
-        ctx.counters.rows_compared += 1
-        if predicate_holds(op.predicate, row, schema):
-            out.append(row)
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_udf_filter(op: UdfFilterP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    schema = op.child.output_schema()
-    governor = ctx.governor
-    out = []
-    for row in rows:
-        if governor is not None:
-            governor.tick()
-        ctx.counters.udf_invocations += 1
-        ctx.counters.rows_compared += max(1, int(op.udf.per_tuple_cost))
-        if evaluate(op.udf, row, schema) is True:
-            out.append(row)
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_project(op: ProjectP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    schema = op.child.output_schema()
-    out = [
-        tuple(evaluate(item.expr, row, schema) for item in op.items) for row in rows
-    ]
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_sort(op: SortP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    schema = op.child.output_schema()
-    width = _row_width(schema)
-    pages = pages_for_rows(len(rows), width, ctx.params)
-    if pages > ctx.params.sort_memory_pages:
-        ctx.counters.sort_spill_pages += int(2 * pages)
-    if ctx.governor is not None:
-        # Sorts always have the external-merge path, so a sort working
-        # set over budget is recorded (high-water mark) but never fatal.
-        ctx.governor.memory_high_water_bytes = max(
-            ctx.governor.memory_high_water_bytes, int(len(rows) * width)
-        )
-    out = sort_rows(rows, schema, op.sort_order)
-    ctx.counters.rows_compared += int(len(rows) * max(1, len(rows)).bit_length())
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_check(op: CheckP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    state = ctx.adaptive
-    if state is None:
-        return rows
-    # Checkpoint on pass *and* fire: any completed intermediate is
-    # reusable by a later remainder plan, not just the one that fired.
-    state.store_checkpoint(
-        plan_signature(op.child),
-        op.child.output_schema(),
-        rows,
-        op.context_label or "check",
-    )
-    if state.note_check(op, len(rows)):
-        if ctx.runtime is not None:
-            # The raise skips the _run wrapper's accounting; record the
-            # observation here so EXPLAIN ANALYZE shows the fired CHECK.
-            node = ctx.runtime.node_for(op)
-            node.invocations += 1
-            node.actual_rows += len(rows)
-            node.check_fired = True
-        raise ReoptimizeSignal(op, len(rows))
-    return rows
-
-
-def _run_checkpoint_source(
-    op: CheckpointSourceP, catalog: Catalog, ctx: ExecContext
-) -> List[Row]:
-    if ctx.runtime is not None:
-        ctx.runtime.node_for(op).from_checkpoint = True
-    rows = list(op.rows)
-    ctx.counters.rows_produced += len(rows)
-    return rows
-
-
-def _run_materialize(op: MaterializeP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    pages = pages_for_rows(len(rows), _row_width(op.child.output_schema()), ctx.params)
-    if pages > ctx.params.sort_memory_pages:
-        ctx.counters.sort_spill_pages += int(2 * pages)
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Joins
-# ----------------------------------------------------------------------
-def _run_nl_join(op: NLJoinP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    left_rows = _run(op.left, catalog, ctx)
-    right_rows = _run(op.right, catalog, ctx)
-    left_schema = op.left.output_schema()
-    right_schema = op.right.output_schema()
-    combined = left_schema.concat(right_schema)
-    governor = ctx.governor
-    out: List[Row] = []
-
-    def matches(lrow: Row, rrow: Row) -> bool:
-        if governor is not None:
-            governor.tick()
-        ctx.counters.rows_compared += 1
-        if op.predicate is None:
-            return True
-        return predicate_holds(op.predicate, lrow + rrow, combined)
-
-    if op.kind in (JoinKind.INNER, JoinKind.CROSS):
-        for lrow in left_rows:
-            for rrow in right_rows:
-                if matches(lrow, rrow):
-                    out.append(lrow + rrow)
-    elif op.kind is JoinKind.LEFT_OUTER:
-        pad = (None,) * right_schema.arity
-        for lrow in left_rows:
-            matched = False
-            for rrow in right_rows:
-                if matches(lrow, rrow):
-                    matched = True
-                    out.append(lrow + rrow)
-            if not matched:
-                out.append(lrow + pad)
-    elif op.kind is JoinKind.SEMI:
-        for lrow in left_rows:
-            if any(matches(lrow, rrow) for rrow in right_rows):
-                out.append(lrow)
-    elif op.kind is JoinKind.ANTI:
-        for lrow in left_rows:
-            if not any(matches(lrow, rrow) for rrow in right_rows):
-                out.append(lrow)
-    else:
-        raise ExecutionError(f"nested loop join cannot run kind {op.kind}")
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_inl_join(op: INLJoinP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    outer_rows = _run(op.outer, catalog, ctx)
-    outer_schema = op.outer.output_schema()
-    table = catalog.table(op.table)
-    ordered = {index.definition.name: index for index in catalog.indexes_on(op.table)}
-    hashed = {
-        index.definition.name: index for index in catalog.hash_indexes_on(op.table)
-    }
-    index = ordered.get(op.index_name) or hashed.get(op.index_name)
-    if index is None:
-        raise ExecutionError(f"unknown index {op.index_name!r} on {op.table!r}")
-    inner_schema = StreamSchema.for_table(
-        op.alias, op.columns, types=op.column_types
-    )
-    combined = outer_schema.concat(inner_schema)
-    height = getattr(index, "height", 1)
-    site = f"idx:{op.index_name}"
-    governor = ctx.governor
-    out: List[Row] = []
-    for orow in outer_rows:
-        if governor is not None:
-            governor.tick()
-        key = tuple(evaluate(expr, orow, outer_schema) for expr in op.outer_keys)
-        if any(part is None for part in key):
-            matched_ids: List[int] = []
-        else:
-            for level in range(height):
-                ctx.read_page(site, -(level + 1), sequential=False)
-            if hasattr(index, "seek_prefix"):
-                matched_ids = ctx.index_lookup(
-                    lambda: index.seek_prefix(key), site
-                )
-            else:
-                matched_ids = ctx.index_lookup(lambda: index.seek(key), site)
-        matched_rows: List[Row] = []
-        for row_id in matched_ids:
-            if not table.row_visible(row_id, ctx.snapshot):
-                continue
-            ctx.read_page(op.table, table.page_of(row_id), sequential=False)
-            irow = table.fetch(row_id)
-            if op.residual is not None:
-                ctx.counters.rows_compared += 1
-                if not predicate_holds(op.residual, orow + irow, combined):
-                    continue
-            matched_rows.append(tuple(irow))
-        if op.kind in (JoinKind.INNER, JoinKind.CROSS):
-            out.extend(orow + irow for irow in matched_rows)
-        elif op.kind is JoinKind.LEFT_OUTER:
-            if matched_rows:
-                out.extend(orow + irow for irow in matched_rows)
-            else:
-                out.append(orow + (None,) * inner_schema.arity)
-        elif op.kind is JoinKind.SEMI:
-            if matched_rows:
-                out.append(orow)
-        elif op.kind is JoinKind.ANTI:
-            if not matched_rows:
-                out.append(orow)
-        else:
-            raise ExecutionError(f"index NL join cannot run kind {op.kind}")
-    ctx.counters.rows_produced += len(out)
-    return out
 
 
 # Canonical NaN sentinel.  IEEE 754 NaN is not equal to itself, which
@@ -570,74 +235,6 @@ def _key_getter(
     return lambda row: tuple(_canon_key_part(row[p]) for p in positions)
 
 
-def _run_merge_join(op: MergeJoinP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    left_rows = _run(op.left, catalog, ctx)
-    right_rows = _run(op.right, catalog, ctx)
-    left_schema = op.left.output_schema()
-    right_schema = op.right.output_schema()
-    combined = left_schema.concat(right_schema)
-    left_key = _key_getter(left_schema, op.left_keys)
-    right_key = _key_getter(right_schema, op.right_keys)
-    governor = ctx.governor
-    out: List[Row] = []
-    pad = (None,) * right_schema.arity
-    i = j = 0
-    n, m = len(left_rows), len(right_rows)
-    while i < n:
-        if governor is not None:
-            governor.tick()
-        lkey = left_key(left_rows[i])
-        if any(part is None for part in lkey):
-            # NULL join keys never match.
-            if op.kind is JoinKind.LEFT_OUTER:
-                out.append(left_rows[i] + pad)
-            elif op.kind is JoinKind.ANTI:
-                out.append(left_rows[i])
-            i += 1
-            continue
-        while j < m:
-            rkey = right_key(right_rows[j])
-            ctx.counters.rows_compared += 1
-            if any(part is None for part in rkey) or rkey < lkey:
-                j += 1
-            else:
-                break
-        # Collect the right group equal to lkey.
-        group_start = j
-        k = j
-        while k < m and right_key(right_rows[k]) == lkey:
-            k += 1
-        group = right_rows[group_start:k]
-        # Emit for every left row sharing lkey.
-        while i < n and left_key(left_rows[i]) == lkey:
-            lrow = left_rows[i]
-            matched = []
-            for rrow in group:
-                if op.residual is not None:
-                    ctx.counters.rows_compared += 1
-                    if not predicate_holds(op.residual, lrow + rrow, combined):
-                        continue
-                matched.append(rrow)
-            if op.kind in (JoinKind.INNER, JoinKind.CROSS):
-                out.extend(lrow + rrow for rrow in matched)
-            elif op.kind is JoinKind.LEFT_OUTER:
-                if matched:
-                    out.extend(lrow + rrow for rrow in matched)
-                else:
-                    out.append(lrow + pad)
-            elif op.kind is JoinKind.SEMI:
-                if matched:
-                    out.append(lrow)
-            elif op.kind is JoinKind.ANTI:
-                if not matched:
-                    out.append(lrow)
-            else:
-                raise ExecutionError(f"merge join cannot run kind {op.kind}")
-            i += 1
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
 def _partition_of(key: Tuple[Any, ...], parts: int) -> int:
     """Stable partition assignment for degraded hash operators.
 
@@ -655,280 +252,6 @@ def _spill_partitions(build_bytes: int, limit: Optional[int]) -> int:
         return 2
     needed = -(-build_bytes // limit)  # ceil division
     return int(min(_MAX_SPILL_PARTITIONS, max(2, needed)))
-
-
-def _run_hash_join(op: HashJoinP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    left_rows = _run(op.left, catalog, ctx)
-    right_rows = _run(op.right, catalog, ctx)
-    left_schema = op.left.output_schema()
-    right_schema = op.right.output_schema()
-    combined = left_schema.concat(right_schema)
-    left_key = _key_getter(left_schema, op.left_keys)
-    right_key = _key_getter(right_schema, op.right_keys)
-    governor = ctx.governor
-    pad = (None,) * right_schema.arity
-
-    def probe_into(build_rows: List[Row], probe_rows: List[Row]) -> List[Row]:
-        build: Dict[Tuple[Any, ...], List[Row]] = {}
-        for rrow in build_rows:
-            key = right_key(rrow)
-            ctx.counters.rows_compared += 1
-            if any(part is None for part in key):
-                continue
-            build.setdefault(key, []).append(rrow)
-        out: List[Row] = []
-        for lrow in probe_rows:
-            if governor is not None:
-                governor.tick()
-            key = left_key(lrow)
-            ctx.counters.rows_compared += 1
-            candidates = (
-                build.get(key, []) if not any(part is None for part in key) else []
-            )
-            matched = []
-            for rrow in candidates:
-                if op.residual is not None:
-                    ctx.counters.rows_compared += 1
-                    if not predicate_holds(op.residual, lrow + rrow, combined):
-                        continue
-                matched.append(rrow)
-            if op.kind in (JoinKind.INNER, JoinKind.CROSS):
-                out.extend(lrow + rrow for rrow in matched)
-            elif op.kind is JoinKind.LEFT_OUTER:
-                if matched:
-                    out.extend(lrow + rrow for rrow in matched)
-                else:
-                    out.append(lrow + pad)
-            elif op.kind is JoinKind.SEMI:
-                if matched:
-                    out.append(lrow)
-            elif op.kind is JoinKind.ANTI:
-                if not matched:
-                    out.append(lrow)
-            else:
-                raise ExecutionError(f"hash join cannot run kind {op.kind}")
-        return out
-
-    build_width = _row_width(right_schema)
-    build_bytes = int(len(right_rows) * build_width)
-    build_pages = pages_for_rows(len(right_rows), build_width, ctx.params)
-    probe_pages = pages_for_rows(
-        len(left_rows), _row_width(left_schema), ctx.params
-    )
-    if build_pages > ctx.params.hash_memory_pages:
-        ctx.counters.sort_spill_pages += int(2 * (build_pages + probe_pages))
-
-    degraded = False
-    if governor is not None:
-        try:
-            governor.reserve_memory(build_bytes, "HashJoin build")
-        except MemoryBudgetExceeded:
-            degraded = True
-
-    if not degraded:
-        out = probe_into(right_rows, left_rows)
-    else:
-        # Graceful degradation: Grace-style partitioning.  Both inputs are
-        # hashed on their join keys into the same partition space, so rows
-        # that could match always land in the same partition and every
-        # join kind (including LEFT_OUTER/ANTI, whose unmatched probe rows
-        # stay with their partition) is preserved.  Partitions are joined
-        # in order, keeping output deterministic.
-        parts = _spill_partitions(
-            build_bytes, governor.budget.memory_limit_bytes
-        )
-        ctx.counters.degraded_operators += 1
-        if ctx.runtime is not None:
-            ctx.runtime.node_for(op).degraded = True
-        ctx.counters.sort_spill_pages += int(2 * (build_pages + probe_pages))
-        build_parts: List[List[Row]] = [[] for _ in range(parts)]
-        for rrow in right_rows:
-            build_parts[_partition_of(right_key(rrow), parts)].append(rrow)
-        probe_parts: List[List[Row]] = [[] for _ in range(parts)]
-        for lrow in left_rows:
-            probe_parts[_partition_of(left_key(lrow), parts)].append(lrow)
-        out = []
-        for build_part, probe_part in zip(build_parts, probe_parts):
-            governor.check()
-            out.extend(probe_into(build_part, probe_part))
-
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Aggregation, distinct, union, apply, exchange
-# ----------------------------------------------------------------------
-def _aggregate_groups(
-    op: HashAggP, rows: List[Row], schema: StreamSchema, ctx: ExecContext
-) -> List[Row]:
-    key_of = _key_getter(schema, op.keys) if op.keys else (lambda _row: ())
-    governor = ctx.governor
-    groups: Dict[Tuple[Any, ...], list] = {}
-    order: List[Tuple[Any, ...]] = []
-    for row in rows:
-        if governor is not None:
-            governor.tick()
-        key = key_of(row)
-        ctx.counters.rows_compared += 1
-        if key not in groups:
-            groups[key] = [call.new_accumulator() for call in op.aggregates]
-            order.append(key)
-        for call, accumulator in zip(op.aggregates, groups[key]):
-            if call.is_star:
-                accumulator.add(1)
-            else:
-                accumulator.add_value(evaluate(call.arg, row, schema))
-    if not groups and not op.keys:
-        groups[()] = [call.new_accumulator() for call in op.aggregates]
-        order.append(())
-    out = [key + tuple(acc.result() for acc in groups[key]) for key in order]
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_hash_agg(op: HashAggP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    schema = op.child.output_schema()
-    governor = ctx.governor
-    if governor is not None and op.keys:
-        # The aggregation table holds roughly one input row per group in
-        # the worst case; reserve the input working set and degrade to
-        # partition-wise aggregation if it busts the memory budget.
-        # (Global aggregation -- no keys -- keeps O(1) state and never
-        # needs to degrade; partitioning it would also fabricate one
-        # spurious row per empty partition.)
-        width = _row_width(schema)
-        table_bytes = int(len(rows) * width)
-        try:
-            governor.reserve_memory(table_bytes, "HashAgg table")
-        except MemoryBudgetExceeded:
-            parts = _spill_partitions(
-                table_bytes, governor.budget.memory_limit_bytes
-            )
-            ctx.counters.degraded_operators += 1
-            if ctx.runtime is not None:
-                ctx.runtime.node_for(op).degraded = True
-            ctx.counters.sort_spill_pages += int(
-                2 * pages_for_rows(len(rows), width, ctx.params)
-            )
-            key_of = _key_getter(schema, op.keys)
-            partitions: List[List[Row]] = [[] for _ in range(parts)]
-            for row in rows:
-                partitions[_partition_of(key_of(row), parts)].append(row)
-            out: List[Row] = []
-            for partition in partitions:
-                governor.check()
-                if partition:
-                    out.extend(_aggregate_groups(op, partition, schema, ctx))
-            return out
-    return _aggregate_groups(op, rows, schema, ctx)
-
-
-def _run_stream_agg(op: StreamAggP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    # The input is sorted on the keys, so groups are contiguous; the hash
-    # path produces identical results and the ordering keeps them grouped.
-    rows = _run(op.child, catalog, ctx)
-    return _aggregate_groups(op, rows, op.child.output_schema(), ctx)
-
-
-def _run_distinct(op: DistinctP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.child, catalog, ctx)
-    governor = ctx.governor
-    seen = set()
-    out = []
-    for row in rows:
-        if governor is not None:
-            governor.tick()
-        ctx.counters.rows_compared += 1
-        key = _canon_key(row)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_union_all(op: UnionAllP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    rows = _run(op.left, catalog, ctx) + _run(op.right, catalog, ctx)
-    ctx.counters.rows_produced += len(rows)
-    return rows
-
-
-def _run_apply(op: ApplyP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    left_rows = _run(op.left, catalog, ctx)
-    left_schema = op.left.output_schema()
-    out: List[Row] = []
-    inner_stats = InterpreterStats()
-    from repro.engine.interpreter import _eval_op  # reference evaluator
-
-    for lrow in left_rows:
-        if ctx.governor is not None:
-            ctx.governor.check()
-        ctx.counters.inner_evaluations += 1
-        _schema, inner_rows = _eval_op(
-            op.inner, catalog, left_schema, lrow, inner_stats
-        )
-        if op.kind == "semi":
-            if inner_rows:
-                out.append(lrow)
-        elif op.kind == "anti":
-            if not inner_rows:
-                out.append(lrow)
-        else:
-            if len(inner_rows) > 1:
-                raise ExecutionError("scalar subquery returned more than one row")
-            value = inner_rows[0][0] if inner_rows else None
-            out.append(lrow + (value,))
-    ctx.counters.rows_compared += inner_stats.rows_produced
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-def _run_exchange(op: ExchangeP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    from repro.engine.parallel import exchange_page_count
-
-    rows = _run(op.child, catalog, ctx)
-    width = _row_width(op.child.output_schema())
-    ctx.counters.exchange_pages += exchange_page_count(
-        len(rows), width, op.target.scheme, op.target.degree, ctx.params
-    )
-    return rows
-
-
-def _run_limit(op: LimitP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    # The materializing engine cannot terminate its child early; it just
-    # trims.  The batch engine's _stream_limit stops pulling instead.
-    rows = _run(op.child, catalog, ctx)
-    end = None if op.limit is None else op.offset + op.limit
-    out = rows[op.offset:end]
-    ctx.counters.rows_produced += len(out)
-    return out
-
-
-_HANDLERS = {
-    CheckP: _run_check,
-    CheckpointSourceP: _run_checkpoint_source,
-    SeqScanP: _run_seq_scan,
-    IndexScanP: _run_index_scan,
-    FilterP: _run_filter,
-    UdfFilterP: _run_udf_filter,
-    ProjectP: _run_project,
-    SortP: _run_sort,
-    MaterializeP: _run_materialize,
-    NLJoinP: _run_nl_join,
-    INLJoinP: _run_inl_join,
-    MergeJoinP: _run_merge_join,
-    HashJoinP: _run_hash_join,
-    StreamAggP: _run_stream_agg,
-    HashAggP: _run_hash_agg,
-    DistinctP: _run_distinct,
-    UnionAllP: _run_union_all,
-    LimitP: _run_limit,
-    ApplyP: _run_apply,
-    ExchangeP: _run_exchange,
-    GatherP: _run_exchange,
-}
 
 
 # ======================================================================
@@ -969,36 +292,15 @@ def _note_resident(ctx: ExecContext, op: PhysicalOp, count: int) -> None:
         node.peak_resident_rows = max(node.peak_resident_rows, count)
 
 
-def _predicate_fn(
-    expr: Optional[Expr], schema: StreamSchema, ctx: ExecContext
-) -> Callable[[Row], bool]:
-    """A per-row predicate closure: compiled when the context allows it,
-    else the tree-walking evaluator (the compilation oracle)."""
-    if ctx.compiled_expressions:
-        return compile_predicate(expr, schema)
-    if expr is None:
-        return lambda _row: True
-    return lambda row: predicate_holds(expr, row, schema)
-
-
-def _scalar_fn(
-    expr: Expr, schema: StreamSchema, ctx: ExecContext
-) -> Callable[[Row], Any]:
-    if ctx.compiled_expressions:
-        return compile_scalar(expr, schema)
-    return lambda row: evaluate(expr, row, schema)
-
-
 def stream_batches(
     op: PhysicalOp, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
     """The batch engine's driver: streams an operator's output batches.
 
-    Wraps the operator's handler generator with the accounting the
-    legacy ``_run`` wrapper performs per call, adapted to batches:
+    Wraps the operator's handler generator with per-pull accounting:
     wall time, page reads, and retries are measured around each pull
-    (inclusive of the child pulls that happen inside it, like legacy
-    subtree-cumulative accounting); ``actual_rows`` accumulates per
+    (inclusive of the child pulls that happen inside it, so they are
+    cumulative over the subtree); ``actual_rows`` accumulates per
     batch; the governor sees a full check at stream start, the row
     budget against cumulative output, and a tick per batch.  Handlers
     for quadratic or blocking operators keep their own per-row ticks so
@@ -1069,10 +371,10 @@ def _stream_seq_scan(
 ) -> Iterator[Batch]:
     table = catalog.table(op.table)
     schema = op.output_schema()
-    keep = _predicate_fn(op.predicate, schema, ctx)
+    keep = compile_predicate(op.predicate, schema)
     batch_size = ctx.params.batch_size
-    # Page reads stay up-front so the fault-injection schedule is
-    # identical to the legacy engine's.
+    # Page reads stay up-front so the fault-injection schedule does not
+    # depend on the batch size or on how far a LIMIT pulls.
     for page_no in range(table.page_count):
         ctx.read_page(op.table, page_no, sequential=True)
     batch: Batch = []
@@ -1097,7 +399,7 @@ def _stream_index_scan(
     table = catalog.table(op.table)
     index = catalog.index(op.index_name)
     schema = op.output_schema()
-    keep = _predicate_fn(op.predicate, schema, ctx)
+    keep = compile_predicate(op.predicate, schema)
     batch_size = ctx.params.batch_size
     site = f"idx:{op.index_name}"
     for level in range(index.height):
@@ -1152,7 +454,7 @@ def _stream_filter(
     op: FilterP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
     schema = op.child.output_schema()
-    keep = _predicate_fn(op.predicate, schema, ctx)
+    keep = compile_predicate(op.predicate, schema)
     child = stream_batches(op.child, catalog, ctx)
     try:
         for batch in child:
@@ -1172,7 +474,7 @@ def _stream_udf_filter(
     op: UdfFilterP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
     schema = op.child.output_schema()
-    fn = _scalar_fn(op.udf, schema, ctx)
+    fn = compile_scalar(op.udf, schema)
     per_tuple = max(1, int(op.udf.per_tuple_cost))
     child = stream_batches(op.child, catalog, ctx)
     try:
@@ -1194,7 +496,7 @@ def _stream_project(
     op: ProjectP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
     schema = op.child.output_schema()
-    fns = [_scalar_fn(item.expr, schema, ctx) for item in op.items]
+    fns = [compile_scalar(item.expr, schema) for item in op.items]
     child = stream_batches(op.child, catalog, ctx)
     try:
         for batch in child:
@@ -1341,7 +643,7 @@ def _stream_nl_join(
     left_schema = op.left.output_schema()
     right_schema = op.right.output_schema()
     combined = left_schema.concat(right_schema)
-    keep = _predicate_fn(op.predicate, combined, ctx)
+    keep = compile_predicate(op.predicate, combined)
     governor = ctx.governor
     pad = (None,) * right_schema.arity
     batch_size = ctx.params.batch_size
@@ -1410,9 +712,9 @@ def _stream_inl_join(
     height = getattr(index, "height", 1)
     site = f"idx:{op.index_name}"
     governor = ctx.governor
-    key_fns = [_scalar_fn(expr, outer_schema, ctx) for expr in op.outer_keys]
+    key_fns = [compile_scalar(expr, outer_schema) for expr in op.outer_keys]
     residual = (
-        _predicate_fn(op.residual, combined, ctx)
+        compile_predicate(op.residual, combined)
         if op.residual is not None
         else None
     )
@@ -1482,7 +784,7 @@ def _stream_merge_join(
     left_key = _key_getter(left_schema, op.left_keys)
     right_key = _key_getter(right_schema, op.right_keys)
     residual = (
-        _predicate_fn(op.residual, combined, ctx)
+        compile_predicate(op.residual, combined)
         if op.residual is not None
         else None
     )
@@ -1559,7 +861,7 @@ def _stream_hash_join(
     left_key = _key_getter(left_schema, op.left_keys)
     right_key = _key_getter(right_schema, op.right_keys)
     residual = (
-        _predicate_fn(op.residual, combined, ctx)
+        compile_predicate(op.residual, combined)
         if op.residual is not None
         else None
     )
@@ -1692,7 +994,7 @@ def _aggregate_rows(
     """Batch-engine twin of ``_aggregate_groups`` with compiled arguments."""
     key_of = _key_getter(schema, op.keys) if op.keys else (lambda _row: ())
     arg_fns = [
-        None if call.is_star else _scalar_fn(call.arg, schema, ctx)
+        None if call.is_star else compile_scalar(call.arg, schema)
         for call in op.aggregates
     ]
     governor = ctx.governor
@@ -1727,8 +1029,12 @@ def _stream_hash_agg(
     governor = ctx.governor
     _note_resident(ctx, op, len(rows))
     if governor is not None and op.keys:
-        # Same degradation contract as the legacy engine: reserve the
-        # worst-case table, partition-wise aggregate if it does not fit.
+        # The aggregation table holds roughly one input row per group in
+        # the worst case; reserve the input working set and degrade to
+        # partition-wise aggregation if it busts the memory budget.
+        # (Global aggregation -- no keys -- keeps O(1) state and never
+        # needs to degrade; partitioning it would also fabricate one
+        # spurious row per empty partition.)
         width = _row_width(schema)
         table_bytes = int(len(rows) * width)
         try:
@@ -1798,8 +1104,7 @@ def _stream_distinct(
 def _stream_union_all(
     op: UnionAllP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
-    # Child batches pass straight through -- no concatenation copy (the
-    # legacy engine's ``left + right`` builds a third list).
+    # Child batches pass straight through -- no concatenation copy.
     for side in (op.left, op.right):
         child = stream_batches(side, catalog, ctx)
         try:

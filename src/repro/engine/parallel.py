@@ -59,6 +59,7 @@ from repro.cost.model import pages_for_rows
 from repro.engine.context import ExecContext, ExecCounters
 from repro.engine.runtime_stats import PartitionStats
 from repro.errors import ExecutionError, MemoryBudgetExceeded
+from repro.expr.compiler import compile_predicate, compile_scalar
 from repro.expr.vector import hash_key
 from repro.logical.operators import JoinKind
 from repro.physical.plans import (
@@ -126,9 +127,9 @@ def exchange_page_count(
     round-robin repartition moves the fraction of pages that change
     processors, ``(p-1)/p``; a broadcast replicates to every other
     processor, ``p-1`` copies; a gather (singleton) ships everything to
-    the coordinator once.  The legacy simulated exchange, the streaming
-    pass-through, the columnar pass-through, and the real parallel
-    runtime all charge through this one function, so
+    the coordinator once.  The serial streaming pass-through, the
+    columnar pass-through, and the real parallel runtime all charge
+    through this one function, so
     ``counters.exchange_pages`` agrees across engines on the same plan.
     """
     raw = pages_for_rows(rows, width, params)
@@ -234,28 +235,23 @@ def _build_fns(region: _Region, ctx: ExecContext) -> Dict[int, Any]:
     The closures (predicates, scalar projections, key getters) are pure
     functions of the row; workers share them read-only.
     """
-    from repro.engine.executor import (
-        _key_getter,
-        _predicate_fn,
-        _row_width,
-        _scalar_fn,
-    )
+    from repro.engine.executor import _key_getter, _row_width
 
     fns: Dict[int, Any] = {}
     for node in region.ops:
         if isinstance(node, FilterP):
-            fns[id(node)] = _predicate_fn(
-                node.predicate, node.child.output_schema(), ctx
+            fns[id(node)] = compile_predicate(
+                node.predicate, node.child.output_schema()
             )
         elif isinstance(node, UdfFilterP):
             fns[id(node)] = (
-                _scalar_fn(node.udf, node.child.output_schema(), ctx),
+                compile_scalar(node.udf, node.child.output_schema()),
                 max(1, int(node.udf.per_tuple_cost)),
             )
         elif isinstance(node, ProjectP):
             schema = node.child.output_schema()
             fns[id(node)] = [
-                _scalar_fn(item.expr, schema, ctx) for item in node.items
+                compile_scalar(item.expr, schema) for item in node.items
             ]
         elif isinstance(node, HashJoinP):
             left_schema = node.left.output_schema()
@@ -265,7 +261,7 @@ def _build_fns(region: _Region, ctx: ExecContext) -> Dict[int, Any]:
                 left_key=_key_getter(left_schema, node.left_keys),
                 right_key=_key_getter(right_schema, node.right_keys),
                 residual=(
-                    _predicate_fn(node.residual, combined, ctx)
+                    compile_predicate(node.residual, combined)
                     if node.residual is not None
                     else None
                 ),
@@ -279,7 +275,7 @@ def _build_fns(region: _Region, ctx: ExecContext) -> Dict[int, Any]:
             fns[id(node)] = _AggFns(
                 key_of=_key_getter(schema, node.keys),
                 arg_fns=[
-                    None if call.is_star else _scalar_fn(call.arg, schema, ctx)
+                    None if call.is_star else compile_scalar(call.arg, schema)
                     for call in node.aggregates
                 ],
                 width=_row_width(schema),

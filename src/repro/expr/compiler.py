@@ -10,10 +10,10 @@ closures; the per-row cost is then just the closure calls.
 Semantics are identical to the tree-walking evaluator by construction:
 the compiled closures reuse its ``_compare`` / ``_arith`` /
 ``_param_value`` helpers (same three-valued logic, same typed errors,
-same late ``Param`` binding through ``bind_parameters``), and the
-differential suite cross-checks the two paths on every query.  The
-evaluator stays available as the oracle toggle
-(``ExecContext.compiled_expressions = False``).
+same late ``Param`` binding through ``bind_parameters``).  The
+evaluator stays the reference implementation: the logical interpreter
+runs on it, and the test suite compares compiled closures against it
+row by row.
 """
 
 from __future__ import annotations

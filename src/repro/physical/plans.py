@@ -687,7 +687,7 @@ class GatherP(ExchangeP):
     single-threaded oracle).  With ``parallel_mode`` off the region is
     executed serially and the exchanges only account for simulated
     communication pages, preserving the oracle pattern of
-    ``batch_mode``/``columnar_mode``.
+    ``columnar_mode``.
     """
 
     def __init__(self, child: PhysicalOp, dop: int) -> None:

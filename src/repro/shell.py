@@ -31,8 +31,6 @@ Meta-commands (backslash-prefixed):
     \\admission off      disable admission control
     \\admission tenant <name>     set this session's tenant
     \\admission priority <class>  set this session's priority (high|normal|low)
-    \\batch              show which execution engine is active
-    \\batch on|off       pipelined batch engine vs legacy materializing
     \\columnar           show whether columnar vector kernels are active
     \\columnar on|off    columnar numpy kernels vs row-tuple batches
     \\parallel           show whether parallel execution is active
@@ -157,26 +155,10 @@ class Shell:
                 self.db.budget = None
                 return "query timeout disabled"
             return f"budget now: {self.db.budget.describe()}"
-        if command == "batch":
-            word = argument.strip().lower()
-            if word == "on":
-                self.db.batch_mode = True
-            elif word == "off":
-                self.db.batch_mode = False
-            elif word:
-                return "usage: \\batch [on|off]"
-            if self.db.batch_mode:
-                return (
-                    "execution engine: pipelined batches "
-                    f"(batch_size={self.db.params.batch_size}); "
-                    "LIMIT/OFFSET terminate pipelines early"
-                )
-            return "execution engine: legacy materializing (oracle)"
         if command == "columnar":
             word = argument.strip().lower()
             if word == "on":
                 self.db.columnar_mode = True
-                self.db.batch_mode = True  # columnar rides the batch driver
                 self.db.params = self.db.params.with_overrides(
                     columnar_execution=True
                 )

@@ -1,9 +1,8 @@
 """Comparison harness for the SQLite external-oracle suite.
 
-The differential tests of PRs 1-5 compare our engines against each
-other, which cannot catch a bug every engine shares (one front end, one
-binder, one expression evaluator).  This harness compares against stdlib
-``sqlite3`` -- an implementation sharing none of our code -- and turns
+Engine-vs-engine differential tests cannot catch a bug every engine
+shares (one front end, one binder, one expression evaluator).  This
+harness compares against stdlib ``sqlite3`` -- an implementation sharing none of our code -- and turns
 any disagreement into a triage report instead of a bare assert, so a
 divergence arrives with everything needed to classify it: the query in
 both dialects, row counts, sample rows from each side, and which of our
@@ -20,9 +19,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.optimizer import Database
+from repro.core.optimizer import Database, OptimizedQuery, Optimizer
 from repro.engine.context import ExecContext
 from repro.engine.executor import execute
+from repro.engine.interpreter import interpret
 
 # Documented dialect divergences and how the suite neutralizes each.
 # A mismatch NOT explained by one of these is a correctness bug.
@@ -144,22 +144,42 @@ def assert_sorted(rows: Sequence[Sequence[Any]], key_positions: Sequence[int],
 # ----------------------------------------------------------------------
 # Engines under test
 # ----------------------------------------------------------------------
+def run_optimized(
+    db: Database,
+    optimized: OptimizedQuery,
+    engine: str = "batch",
+    parameters: Optional[Sequence[Any]] = None,
+) -> List[Tuple]:
+    """Run one optimized query on ``engine``.
+
+    ``"batch"`` and ``"columnar"`` execute its physical plan on the
+    row-batch or columnar engine.  ``"interpreter"`` evaluates its
+    rewritten logical tree on the reference interpreter: same front end
+    and rewrites as the engines, but none of their physical operators
+    or compiled expressions.
+    """
+    if engine == "interpreter":
+        _schema, rows = interpret(optimized.rewritten, db.catalog)
+    else:
+        context = ExecContext(db.params)
+        context.columnar_mode = engine == "columnar"
+        _schema, rows = execute(
+            optimized.physical, db.catalog, context, parameters=parameters
+        )
+    return [tuple(row) for row in rows]
+
+
 def run_engine(
     db: Database,
     sql: str,
-    batch_mode: bool,
-    compiled: bool,
+    engine: str = "batch",
     parameters: Optional[Sequence[Any]] = None,
-    columnar: bool = False,
+    optimizer: Optional[Optimizer] = None,
 ) -> List[Tuple]:
-    """Optimize and execute under an explicit engine configuration."""
-    plan = db.optimizer().optimize(sql).physical
-    context = ExecContext(db.params)
-    context.batch_mode = batch_mode
-    context.compiled_expressions = compiled
-    context.columnar_mode = columnar
-    _schema, rows = execute(plan, db.catalog, context, parameters=parameters)
-    return [tuple(row) for row in rows]
+    """Optimize (with the session's optimizer unless one is given) and
+    run on ``engine`` (see :func:`run_optimized`)."""
+    optimized = (optimizer or db.optimizer()).optimize(sql)
+    return run_optimized(db, optimized, engine, parameters)
 
 
 def run_sqlite(conn, sql: str, parameters: Optional[Sequence[Any]] = None):

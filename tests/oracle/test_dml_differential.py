@@ -4,8 +4,8 @@ Seeded random INSERT/UPDATE/DELETE scripts run against both our engine
 (through ``Database.sql``, i.e. the full transactional write path: WAL,
 MVCC versions, commit hooks) and a SQLite mirror loaded with identical
 rows.  After every script the full table contents are diffed, and
-periodically a random follow-up SELECT is compared across all three of
-our engines -- so a write-path bug surfaces either as a content
+periodically a random follow-up SELECT is compared across the row-batch
+engine, the columnar engine, and the reference interpreter -- so a write-path bug surfaces either as a content
 divergence or as a stale-cache divergence on the very next read.
 
 Script count scales with ``REPRO_ORACLE_DML_SCRIPTS`` (default 200; the
@@ -35,7 +35,7 @@ from repro.sql.render import render_dml, render_sqlite
 from tests.oracle.harness import (
     TriageReport,
     rows_equivalent,
-    run_engine,
+    run_optimized,
     run_sqlite,
 )
 
@@ -197,15 +197,9 @@ def test_dml_scripts_match_sqlite(dml_db):
             follow = querygen.query()
             sqlite_sql = render_sqlite(parse(follow))
             oracle_rows = run_sqlite(conn, sqlite_sql)
-            for engine, kwargs in (
-                ("batch", dict(batch_mode=True, compiled=True)),
-                ("legacy", dict(batch_mode=False, compiled=False)),
-                (
-                    "columnar",
-                    dict(batch_mode=True, compiled=True, columnar=True),
-                ),
-            ):
-                ours = run_engine(db, follow, **kwargs)
+            optimized = db.optimizer().optimize(follow)
+            for engine in ("batch", "columnar", "interpreter"):
+                ours = run_optimized(db, optimized, engine)
                 report.compare(
                     index, engine, follow, sqlite_sql, ours, oracle_rows
                 )

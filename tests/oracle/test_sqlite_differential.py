@@ -1,10 +1,17 @@
-"""Differential suite: batch, legacy, and columnar engines vs SQLite.
+"""Differential suite: our engines and optimizer configurations vs SQLite.
 
 Hundreds of seeded random queries over a NULL-heavy Emp/Dept dataset,
-each executed by our batch engine, our legacy (materializing,
-tree-walking) engine, our columnar (numpy vector-kernel) engine, and
-stdlib ``sqlite3`` loaded with the identical rows.  SQLite shares none of our code, so agreement here retires the
-shared-bug risk the engine-vs-engine differential tests cannot.
+each executed by the row-batch engine, the columnar (numpy
+vector-kernel) engine, the reference logical interpreter, and stdlib
+``sqlite3`` loaded with the identical rows.  SQLite shares none of our
+code, so agreement here retires the shared-bug risk the
+engine-vs-engine differential tests cannot.
+
+The same corpora also run under a matrix of optimizer configurations
+(bushy trees, Cartesian products, rewrites off, interesting orders off,
+risk-aware costing, feedback-warmed statistics), so every plan shape
+the optimizer can pick meets the oracle -- not only the default
+System-R linear plans.
 
 Query count scales with ``REPRO_ORACLE_QUERIES`` (default 200; CI smoke
 runs fewer).  Failures raise the harness's triage report, which lists
@@ -19,20 +26,26 @@ import random
 
 import pytest
 
-from repro.core.optimizer import Database
+from repro.core.optimizer import Database, Optimizer
+from repro.core.systemr.enumerator import EnumeratorConfig
 from repro.datagen import (
     EmpDeptQueryGen,
     QueryGenConfig,
     build_emp_dept,
     mirror_to_sqlite,
 )
+from repro.engine.context import ExecContext
+from repro.engine.executor import execute
+from repro.physical.plans import plan_signature
 from repro.sql.parser import parse
 from repro.sql.render import render_sqlite
+from repro.stats import CardinalityFeedback
 
 from tests.oracle.harness import (
     TriageReport,
     assert_sorted,
     run_engine,
+    run_optimized,
     run_sqlite,
 )
 
@@ -43,6 +56,22 @@ NULL_FRACTION = 0.15
 
 QUERY_COUNT = int(os.environ.get("REPRO_ORACLE_QUERIES", "200"))
 WINDOW_COUNT = max(20, QUERY_COUNT // 4)
+
+ENGINES = ("batch", "columnar", "interpreter")
+
+# Non-default optimizer configurations; each runs both corpora on the
+# row-batch engine.
+OPTIMIZER_CONFIGS = {
+    "bushy": dict(config=EnumeratorConfig(bushy=True)),
+    "bushy-cartesian": dict(
+        config=EnumeratorConfig(bushy=True, allow_cartesian=True)
+    ),
+    "no-interesting-orders": dict(
+        config=EnumeratorConfig(use_interesting_orders=False)
+    ),
+    "no-rewrites": dict(use_rewrites=False),
+    "risk-aware": dict(config=EnumeratorConfig(risk_aware=True)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +98,62 @@ def _gen(seed_offset: int = 0) -> EmpDeptQueryGen:
     )
 
 
+def _corpus(db, conn, queries):
+    """``(sql, sqlite_sql, sqlite_rows, optimized)`` for each query text,
+    ``optimized`` by the session's (default) optimizer."""
+    optimizer = db.optimizer()
+    corpus = []
+    for sql in queries:
+        sqlite_sql = render_sqlite(parse(sql))
+        corpus.append((
+            sql, sqlite_sql, run_sqlite(conn, sqlite_sql), optimizer.optimize(sql)
+        ))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def random_corpus(oracle_db):
+    db, conn = oracle_db
+    gen = _gen()
+    return _corpus(db, conn, [gen.query() for _ in range(QUERY_COUNT)])
+
+
+@pytest.fixture(scope="module")
+def window_corpus(oracle_db):
+    """LIMIT/OFFSET windows over total orders (compared positionally)."""
+    db, conn = oracle_db
+    gen = _gen(seed_offset=7)
+    queries = [gen.window_query()[0] for _ in range(WINDOW_COUNT)]
+    return _corpus(db, conn, queries)
+
+
+def _optimizer(db: Database, **overrides) -> Optimizer:
+    """The session's optimizer settings with ``overrides`` applied."""
+    settings = dict(config=db.config, use_rewrites=db.use_rewrites, udfs=db.udfs)
+    settings.update(overrides)
+    return Optimizer(db.catalog, db.params, **settings)
+
+
+def _check_corpus(report, db, corpus, engines, label="", ordered=False,
+                  optimizer=None):
+    """Compare each engine's rows with SQLite's, on the corpus's default
+    plans or on ``optimizer``'s."""
+    for index, (sql, sqlite_sql, oracle_rows, default) in enumerate(corpus):
+        optimized = default if optimizer is None else optimizer.optimize(sql)
+        for engine in engines:
+            ours = run_optimized(db, optimized, engine)
+            report.compare(
+                index, engine + label, sql, sqlite_sql, ours, oracle_rows,
+                ordered=ordered,
+            )
+
+
 def test_mirror_reflects_nulls(oracle_db):
     """The export carries NULLs through; both sides hold identical data."""
     db, conn = oracle_db
     ours = run_engine(
         db,
         "SELECT COUNT(*) AS n, COUNT(E.dept_no) AS d, COUNT(E.age) AS a FROM Emp E",
-        batch_mode=True,
-        compiled=True,
     )
     theirs = run_sqlite(
         conn, "SELECT COUNT(*), COUNT(dept_no), COUNT(age) FROM Emp"
@@ -85,29 +162,16 @@ def test_mirror_reflects_nulls(oracle_db):
     assert ours[0][1] < ours[0][0], "null_fraction should null some dept_no"
 
 
-def test_oracle_random_queries(oracle_db):
-    """Seeded random suite: all three engines must match SQLite."""
-    db, conn = oracle_db
-    gen = _gen()
+def test_oracle_random_queries(oracle_db, random_corpus):
+    """Seeded random suite: every engine must match SQLite."""
+    db, _conn = oracle_db
     report = TriageReport()
-    for index in range(QUERY_COUNT):
-        sql = gen.query()
-        sqlite_sql = render_sqlite(parse(sql))
-        oracle_rows = run_sqlite(conn, sqlite_sql)
-        batch = run_engine(db, sql, batch_mode=True, compiled=True)
-        legacy = run_engine(db, sql, batch_mode=False, compiled=False)
-        columnar = run_engine(db, sql, batch_mode=True, compiled=True,
-                              columnar=True)
-        report.compare(index, "batch", sql, sqlite_sql, batch, oracle_rows)
-        report.compare(index, "legacy", sql, sqlite_sql, legacy, oracle_rows)
-        report.compare(
-            index, "columnar", sql, sqlite_sql, columnar, oracle_rows
-        )
-    assert report.checked == 3 * QUERY_COUNT
+    _check_corpus(report, db, random_corpus, ENGINES)
+    assert report.checked == len(ENGINES) * QUERY_COUNT
     report.raise_if_any()
 
 
-def test_oracle_windowed_queries(oracle_db):
+def test_oracle_windowed_queries(oracle_db, window_corpus):
     """LIMIT/OFFSET windows over total orders: positional equality.
 
     These also pin the NULL-ordering agreement (NULLs first ascending,
@@ -115,27 +179,55 @@ def test_oracle_windowed_queries(oracle_db):
     NULL keys, so any placement disagreement shifts rows across the
     window boundary and fails the ordered comparison.
     """
-    db, conn = oracle_db
-    gen = _gen(seed_offset=7)
+    db, _conn = oracle_db
     report = TriageReport()
-    for index in range(WINDOW_COUNT):
-        sql, _base = gen.window_query()
-        sqlite_sql = render_sqlite(parse(sql))
-        oracle_rows = run_sqlite(conn, sqlite_sql)
-        batch = run_engine(db, sql, batch_mode=True, compiled=True)
-        legacy = run_engine(db, sql, batch_mode=False, compiled=False)
-        columnar = run_engine(db, sql, batch_mode=True, compiled=True,
-                              columnar=True)
-        report.compare(
-            index, "batch", sql, sqlite_sql, batch, oracle_rows, ordered=True
+    _check_corpus(report, db, window_corpus, ENGINES, ordered=True)
+    assert report.checked == len(ENGINES) * WINDOW_COUNT
+    report.raise_if_any()
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZER_CONFIGS))
+def test_oracle_optimizer_matrix(oracle_db, random_corpus, window_corpus, name):
+    """Both corpora under a non-default optimizer configuration."""
+    db, _conn = oracle_db
+    optimizer = _optimizer(db, **OPTIMIZER_CONFIGS[name])
+    report = TriageReport()
+    for corpus, ordered in ((random_corpus, False), (window_corpus, True)):
+        _check_corpus(report, db, corpus, ("batch",), label=f"/{name}",
+                      ordered=ordered, optimizer=optimizer)
+    assert report.checked == QUERY_COUNT + WINDOW_COUNT
+    report.raise_if_any()
+
+
+def test_oracle_feedback_warmed_plans(oracle_db, random_corpus, window_corpus):
+    """Plans re-optimized after execution feedback still match SQLite.
+
+    The random corpus runs once with a fresh feedback store attached, so
+    each execution harvests observed selectivities; both corpora are
+    then re-optimized against the warmed store.  The store is local to
+    this test, leaving the shared database's session feedback empty.
+    """
+    db, _conn = oracle_db
+    store = CardinalityFeedback()
+    for _sql, _sqlite_sql, _rows, cold in random_corpus:
+        context = ExecContext(db.params)
+        context.feedback = store
+        execute(cold.physical, db.catalog, context)
+    warmed = _optimizer(db, feedback=store)
+    report = TriageReport()
+    changed = 0
+    for index, (sql, sqlite_sql, oracle_rows, cold) in enumerate(random_corpus):
+        optimized = warmed.optimize(sql)
+        changed += plan_signature(optimized.physical) != plan_signature(
+            cold.physical
         )
+        ours = run_optimized(db, optimized)
         report.compare(
-            index, "legacy", sql, sqlite_sql, legacy, oracle_rows, ordered=True
+            index, "batch/feedback", sql, sqlite_sql, ours, oracle_rows
         )
-        report.compare(
-            index, "columnar", sql, sqlite_sql, columnar, oracle_rows,
-            ordered=True,
-        )
+    _check_corpus(report, db, window_corpus, ("batch",), label="/feedback",
+                  ordered=True, optimizer=warmed)
+    assert changed > 0, "feedback changed no plan; the warm run tests nothing"
     report.raise_if_any()
 
 
@@ -146,8 +238,6 @@ def test_window_output_is_sorted(oracle_db):
         db,
         "SELECT E.sal AS s, E.emp_no AS k FROM Emp E"
         " ORDER BY E.sal ASC, E.emp_no ASC LIMIT 50",
-        batch_mode=True,
-        compiled=True,
     )
     assert assert_sorted(rows, [0], ascending=True)
     assert rows and rows[0][0] is None, "NULL salaries must lead ascending"
@@ -165,9 +255,7 @@ def test_oracle_parameter_binding(oracle_db):
     rng = random.Random(SEED)
     for index in range(25):
         params = (rng.randint(1, DEPT_ROWS), rng.randint(21, 65))
-        ours = run_engine(
-            db, sql, batch_mode=True, compiled=True, parameters=params
-        )
+        ours = run_engine(db, sql, parameters=params)
         oracle_rows = run_sqlite(conn, sqlite_sql, params)
         report.compare(
             index, "batch", sql, sqlite_sql, ours, oracle_rows, ordered=True

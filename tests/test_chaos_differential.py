@@ -36,7 +36,7 @@ def _make_db(
     rate: float = 0.0,
     seed: int = SEED,
     adaptive: bool = False,
-    batch_mode: bool = True,
+    columnar: bool = False,
 ) -> Database:
     injector = None
     if rate > 0.0:
@@ -50,7 +50,7 @@ def _make_db(
     db = Database(
         fault_injector=injector,
         adaptive=AdaptiveConfig(enabled=True) if adaptive else None,
-        batch_mode=batch_mode,
+        columnar_mode=columnar,
     )
     build_emp_dept(
         db.catalog,
@@ -66,15 +66,16 @@ def _chaos_run(
     rate: float,
     count: int = QUERY_COUNT,
     adaptive: bool = False,
-    batch_mode: bool = True,
+    columnar: bool = False,
 ):
     """Run the suite under faults; returns per-query outcome records.
 
-    Expected rows always come from a clean *batch-mode* database: correct
-    results are engine-independent, so the same oracle serves both modes.
+    Expected rows always come from a clean row-batch database: correct
+    results are engine-independent, so the same oracle serves both
+    engines.
     """
     clean = _make_db()
-    chaotic = _make_db(rate=rate, adaptive=adaptive, batch_mode=batch_mode)
+    chaotic = _make_db(rate=rate, adaptive=adaptive, columnar=columnar)
     rng = random.Random(SEED)
     outcomes = []
     for _ in range(count):
@@ -154,13 +155,14 @@ def test_chaos_adaptive_outcomes_are_deterministic():
 def test_chaos_suite_under_legacy_engine(rate):
     """The robustness contract is engine-independent.
 
-    The legacy materializing executor pulls the same storage reads in a
-    (possibly) different order -- e.g. a hash join drains build and probe
-    at different points -- so its fault schedule may differ from the
-    batch engine's, but every query must still return the fault-free
-    rows or fail typed, with the session intact afterwards.
+    Runs on the serial columnar engine.  It prices plans with the
+    vectorized cost model and pulls storage in its own order, so its
+    fault schedule may differ from the row-batch engine's, but every
+    query must still return the fault-free rows or fail typed, with the
+    session intact afterwards.  (The name predates the removal of the
+    materializing engine this test used to run on.)
     """
-    outcomes = _chaos_run(rate, count=60, batch_mode=False)
+    outcomes = _chaos_run(rate, count=60, columnar=True)
     assert len(outcomes) == 60
     succeeded = sum(1 for o in outcomes if o[0] == "ok")
     assert succeeded > 30, f"only {succeeded} queries survived"
@@ -168,8 +170,9 @@ def test_chaos_suite_under_legacy_engine(rate):
 
 
 def test_chaos_legacy_outcomes_are_deterministic():
-    first = _chaos_run(0.05, count=40, batch_mode=False)
-    second = _chaos_run(0.05, count=40, batch_mode=False)
+    """Columnar-engine chaos outcomes reproduce exactly (see above)."""
+    first = _chaos_run(0.05, count=40, columnar=True)
+    second = _chaos_run(0.05, count=40, columnar=True)
     assert first == second
 
 

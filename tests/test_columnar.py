@@ -39,6 +39,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.context import ExecContext
 from repro.engine.executor import execute
+from repro.engine.interpreter import interpret
 from repro.errors import ExecutionError
 from repro.expr.compiler import compile_scalar
 from repro.expr.evaluator import evaluate
@@ -70,25 +71,28 @@ from tests.test_pipeline_contract import (
 # ----------------------------------------------------------------------
 # Helpers: run one SQL text under an explicit engine configuration
 # ----------------------------------------------------------------------
-def _run_sql(db: Database, sql: str, columnar: bool = False,
-             batch_mode: bool = True, compiled: bool = True):
+def _run_sql(db: Database, sql: str, columnar: bool = False):
     plan = db.optimizer().optimize(sql).physical
     context = ExecContext(db.params)
-    context.batch_mode = batch_mode
-    context.compiled_expressions = compiled
     context.columnar_mode = columnar
     _schema, rows = execute(plan, db.catalog, context)
     return rows
 
 
+def _interpret_sql(db: Database, sql: str):
+    """The reference interpreter over the optimizer's rewritten tree."""
+    _schema, rows = interpret(db.optimizer().optimize(sql).rewritten, db.catalog)
+    return rows
+
+
+def _engines(db: Database, sql: str):
+    """(row-batch, columnar) row lists for the same plan."""
+    return _run_sql(db, sql), _run_sql(db, sql, columnar=True)
+
+
 def _all_engines(db: Database, sql: str):
-    """(legacy, batch-interpreted, batch-compiled, columnar) row lists."""
-    return (
-        _run_sql(db, sql, batch_mode=False, compiled=False),
-        _run_sql(db, sql, batch_mode=True, compiled=False),
-        _run_sql(db, sql, batch_mode=True, compiled=True),
-        _run_sql(db, sql, columnar=True),
-    )
+    """(interpreter, row-batch, columnar) row lists."""
+    return (_interpret_sql(db, sql),) + _engines(db, sql)
 
 
 def _outcome(fn):
@@ -220,17 +224,16 @@ def typed_db() -> Database:
 
 
 def test_incomparable_ordering_query_level_differential(typed_db):
-    """STR < INT raises the same ExecutionError on all four engines."""
+    """STR < INT raises the same ExecutionError on every engine."""
     sql = "SELECT E.emp_no AS k FROM Emp E WHERE E.name < 1"
     messages = []
-    for kwargs in (
-        dict(batch_mode=False, compiled=False),
-        dict(batch_mode=True, compiled=False),
-        dict(batch_mode=True, compiled=True),
-        dict(columnar=True),
+    for run in (
+        _interpret_sql,
+        _run_sql,
+        lambda db, text: _run_sql(db, text, columnar=True),
     ):
         with pytest.raises(ExecutionError) as info:
-            _run_sql(typed_db, sql, **kwargs)
+            run(typed_db, sql)
         messages.append(str(info.value))
     assert len(set(messages)) == 1, messages
     assert "incomparable values" in messages[0]
@@ -239,8 +242,8 @@ def test_incomparable_ordering_query_level_differential(typed_db):
 def test_cross_type_inlist_query_level_differential(typed_db):
     """INT-literal IN-list over a STR column: empty result, no error."""
     sql = "SELECT E.emp_no AS k FROM Emp E WHERE E.name IN (1, 2)"
-    legacy, interpreted, batch, columnar = _all_engines(typed_db, sql)
-    assert legacy == interpreted == batch == columnar == []
+    interpreted, batch, columnar = _all_engines(typed_db, sql)
+    assert interpreted == batch == columnar == []
 
 
 # ======================================================================
@@ -526,21 +529,18 @@ def test_nan_is_one_group_key_in_every_backend(nan_db):
     engines canonicalize NaN key parts to one shared sentinel; this pin
     holds for group-by, DISTINCT, and join keys alike.
     """
-    for legacy, interp, compiled, columnar in (
-        _all_engines(
-            nan_db,
-            "SELECT F.x AS x, COUNT(*) AS c FROM Flo F"
-            " WHERE F.x IS NOT NULL GROUP BY F.x",
-        ),
+    for rows in _all_engines(
+        nan_db,
+        "SELECT F.x AS x, COUNT(*) AS c FROM Flo F"
+        " WHERE F.x IS NOT NULL GROUP BY F.x",
     ):
-        for rows in (legacy, interp, compiled, columnar):
-            assert len(rows) == 3, f"NaN split into multiple groups: {rows}"
-            nan_groups = [
-                row for row in rows
-                if isinstance(row[0], float) and math.isnan(row[0])
-            ]
-            assert len(nan_groups) == 1
-            assert nan_groups[0][1] == 1
+        assert len(rows) == 3, f"NaN split into multiple groups: {rows}"
+        nan_groups = [
+            row for row in rows
+            if isinstance(row[0], float) and math.isnan(row[0])
+        ]
+        assert len(nan_groups) == 1
+        assert nan_groups[0][1] == 1
 
 
 def test_nan_is_one_distinct_value_in_every_backend():
@@ -553,7 +553,9 @@ def test_nan_is_one_distinct_value_in_every_backend():
         [(float("nan"), 1), (float("nan"), 2), (float("nan"), 3), (1.0, 4)]
     )
     db.analyze()
-    for rows in _all_engines(db, "SELECT DISTINCT F.x AS x FROM Flo F"):
+    # The reference interpreter has no key extractor (its DISTINCT keeps
+    # distinct NaN objects apart), so this pins the two engines.
+    for rows in _engines(db, "SELECT DISTINCT F.x AS x FROM Flo F"):
         assert len(rows) == 2, f"NaN deduplicated wrong: {rows}"
         assert sum(
             1 for row in rows
@@ -579,8 +581,10 @@ def test_nan_join_keys_match_in_every_backend():
     )
     # NaN = NaN joins (grouping semantics of the key extractor); NULL
     # never joins (three-valued logic filters it before key extraction).
+    # The reference interpreter evaluates the join predicate with IEEE
+    # equality instead, so this pins the two engines.
     expected = [(1, 10), (2, 20)]
-    for rows in _all_engines(db, sql):
+    for rows in _engines(db, sql):
         assert sorted(rows) == expected, f"NaN join keys diverged: {rows}"
 
 

@@ -22,12 +22,14 @@ import pytest
 from repro import Database
 from repro.core.optimizer import Optimizer
 from repro.core.systemr.enumerator import EnumeratorConfig
-from repro.datagen import build_emp_dept
+from repro.datagen import build_emp_dept, mirror_to_sqlite
 from repro.engine.context import ExecContext
 from repro.engine.executor import execute
 from repro.sql.parser import parse
+from repro.sql.render import render_sqlite
 
 from tests.conftest import assert_same_rows
+from tests.oracle.harness import TriageReport, run_sqlite
 
 QUERY_COUNT = 200
 SEED = 1998  # the survey's publication year
@@ -231,18 +233,11 @@ def _run(db: Database, optimizer: Optimizer, sql: str):
 
 
 def _run_with(
-    db: Database,
-    optimizer: Optimizer,
-    sql: str,
-    batch_mode: bool = True,
-    compiled: bool = True,
-    columnar: bool = False,
+    db: Database, optimizer: Optimizer, sql: str, columnar: bool = False
 ):
-    """Execute under an explicit engine/evaluator configuration."""
+    """Execute on the row-batch engine, or the columnar one."""
     plan = optimizer.optimize(sql).physical
     context = ExecContext(db.params)
-    context.batch_mode = batch_mode
-    context.compiled_expressions = compiled
     context.columnar_mode = columnar
     _schema, rows = execute(plan, db.catalog, context)
     return rows
@@ -284,32 +279,37 @@ def test_naive_enumerator_config_reaches_physicalizer(diff_db):
 
 
 # ----------------------------------------------------------------------
-# Cross-engine differentials: the legacy materializing executor and the
-# tree-walking evaluator are the oracles for the batch engine, the
-# expression compiler, and the columnar engine.  Same plan, four
-# configurations, identical rows.
+# Cross-engine differentials: the columnar engine must match the
+# row-batch engine on the same plan, and stdlib SQLite -- which shares
+# none of our code -- is the oracle for both.
 # ----------------------------------------------------------------------
 def test_differential_batch_engine_vs_oracles(diff_db):
-    """200 seeded queries: columnar == batch+compiled == batch+interpreted
-    == legacy.
+    """200 seeded queries: columnar == batch == SQLite.
 
-    The *same* physical plan runs under each configuration, so the row
-    lists must be bit-identical (order included), not merely equal as
-    multisets -- the engines may not even reorder ties differently.
+    The *same* physical plan runs on both engines, so their row lists
+    must be bit-identical (order included) -- the engines may not even
+    reorder ties differently.  SQLite agrees as a multiset, under the
+    oracle harness's documented normalizations.
     """
     rng = random.Random(SEED)
     full = diff_db.optimizer()
-    for _ in range(QUERY_COUNT):
-        sql = generate_query(rng)
-        batch = _run_with(diff_db, full, sql, batch_mode=True, compiled=True)
-        interpreted = _run_with(
-            diff_db, full, sql, batch_mode=True, compiled=False
-        )
-        legacy = _run_with(diff_db, full, sql, batch_mode=False, compiled=True)
-        columnar = _run_with(diff_db, full, sql, columnar=True)
-        assert batch == interpreted, f"compiler diverges on {sql!r}"
-        assert batch == legacy, f"batch engine diverges on {sql!r}"
-        assert columnar == batch, f"columnar engine diverges on {sql!r}"
+    conn = mirror_to_sqlite(diff_db.catalog)
+    report = TriageReport()
+    try:
+        for index in range(QUERY_COUNT):
+            sql = generate_query(rng)
+            batch = _run_with(diff_db, full, sql)
+            columnar = _run_with(diff_db, full, sql, columnar=True)
+            assert columnar == batch, f"columnar engine diverges on {sql!r}"
+            sqlite_sql = render_sqlite(parse(sql))
+            report.compare(
+                index, "batch", sql, sqlite_sql, batch,
+                run_sqlite(conn, sqlite_sql),
+            )
+    finally:
+        conn.close()
+    assert report.checked == QUERY_COUNT
+    report.raise_if_any()
 
 
 def _parallel_optimizer(db: Database) -> Optimizer:
@@ -375,10 +375,8 @@ def test_differential_limit_queries(diff_db):
     for _ in range(60):
         windowed, unwindowed = generate_limit_query(rng)
         batch = _run_with(diff_db, full, windowed)
-        legacy = _run_with(diff_db, full, windowed, batch_mode=False)
         columnar = _run_with(diff_db, full, windowed, columnar=True)
         naive_plan = _run_with(diff_db, baseline, windowed)
-        assert batch == legacy, f"engines diverge on {windowed!r}"
         assert batch == columnar, f"columnar diverges on {windowed!r}"
         assert batch == naive_plan, f"plans diverge on {windowed!r}"
         stmt = parse(windowed)

@@ -115,16 +115,16 @@ def test_limit_estimate_caps_cardinality(db):
 
 
 # ----------------------------------------------------------------------
-# Execution semantics (batch engine and legacy engine)
+# Execution semantics (row-batch and columnar engines, same plan)
 # ----------------------------------------------------------------------
 def _both_engines(db, sql):
     batch = db.sql(sql).rows
-    db.batch_mode = False
+    db.columnar_mode = True
     try:
-        legacy = db.sql(sql).rows
+        columnar = db.sql(sql).rows
     finally:
-        db.batch_mode = True
-    assert batch == legacy, f"engines disagree on {sql!r}"
+        db.columnar_mode = False
+    assert batch == columnar, f"engines disagree on {sql!r}"
     return batch
 
 

@@ -8,8 +8,8 @@ Pins the contracts that make intra-query parallelism safe to trust:
   * deterministic stats merging: per-worker counter shards fold into
     the session totals in partition order, so repeated runs of the
     same plan report identical numbers regardless of interleaving;
-  * the legacy engine's *simulated* exchange accounting agrees with
-    the real runtime's *measured* pages on the same plan (the cost
+  * the serial pass-through's *simulated* exchange accounting agrees
+    with the real runtime's *measured* pages on the same plan (the cost
     model is calibrated against the simulation);
   * resource integration: admission leases degrade DOP instead of
     failing, the governor's memory budget degrades partitions to Grace
@@ -132,7 +132,8 @@ def test_counter_parity_with_serial_oracle(par_db, sql):
     same rows produced, same observed cost.  (Broadcast regions are
     excluded by design: replicating the build repeats its build work
     on every worker, the documented total-work increase of footnote 5;
-    their *exchange pages* still agree -- see the legacy test below.)"""
+    their *exchange pages* still agree -- see the simulated-pages test
+    below.)"""
     plan = _parallel_plan(par_db, sql)
     assert plan_parallel_regions(plan), "no region placed"
     par_rows, par_ctx = _run(par_db, plan, parallel=True)
@@ -153,18 +154,19 @@ def test_repeated_runs_are_deterministic(par_db):
 
 
 def test_legacy_simulated_pages_match_measured_pages(par_db):
-    """Satellite pin: the legacy engine's simulated ``exchange_pages``
-    equals the parallel runtime's measured pages on the same plan --
-    the accounting the cost model is calibrated against."""
+    """The serial pass-through's simulated ``exchange_pages`` equals the
+    parallel runtime's measured pages on the same plan -- the
+    accounting the cost model is calibrated against.  Unlike the
+    counter-parity test this covers the broadcast regions of the
+    three-way join too.  (The name predates the removal of the
+    materializing engine that used to provide the simulation.)"""
     for sql in (JOIN_SQL, AGG_SQL, THREE_WAY_SQL):
         plan = _parallel_plan(par_db, sql)
         _rows, par_ctx = _run(par_db, plan, parallel=True)
-        _rows, legacy_ctx = _run(
-            par_db, plan, parallel=False, batch_mode=False
-        )
+        _rows, serial_ctx = _run(par_db, plan, parallel=False)
         assert (
             par_ctx.counters.exchange_pages
-            == legacy_ctx.counters.exchange_pages
+            == serial_ctx.counters.exchange_pages
         ), f"simulated/measured drift on {sql!r}"
 
 

@@ -358,16 +358,22 @@ def test_executor_honors_declared_flags(contract_catalog, name):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_FLAGS))
 def test_batch_and_legacy_engines_agree(contract_catalog, name):
-    """Full drains of the same plan are bit-identical across engines."""
+    """Full drains of the same plan through ``execute`` are bit-identical
+    on the row-batch and columnar engines.
+
+    (The name predates the removal of the materializing engine this
+    once compared against; the columnar engine is now the second
+    engine, selected through ``execute`` rather than called directly as
+    in ``test_columnar``.)
+    """
     factory = _factories(contract_catalog)[name]
     plan_a, _ = factory()
     plan_b, _ = factory()
     batch_ctx = _context()
-    legacy_ctx = _context()
-    legacy_ctx.batch_mode = False
-    legacy_ctx.compiled_expressions = False
+    columnar_ctx = _context()
+    columnar_ctx.columnar_mode = True
     _schema_a, rows_a = execute(plan_a, contract_catalog, batch_ctx)
-    _schema_b, rows_b = execute(plan_b, contract_catalog, legacy_ctx)
+    _schema_b, rows_b = execute(plan_b, contract_catalog, columnar_ctx)
     assert rows_a == rows_b
 
 
@@ -377,10 +383,10 @@ def test_batch_and_legacy_engines_agree(contract_catalog, name):
 def test_checkpoint_replay_preserves_row_identity(contract_catalog):
     """Replayed checkpoint rows are the *same objects* that were stored.
 
-    The legacy handler re-copied the whole checkpoint per replay
-    (``list(op.rows)``); the batch engine slices batches straight off
-    the stored list.  Row (tuple) identity is the observable contract:
-    replays never duplicate the materialized intermediate.
+    The batch engine slices batches straight off the stored list rather
+    than copying the checkpoint per replay.  Row (tuple) identity is the
+    observable contract: replays never duplicate the materialized
+    intermediate.
     """
     stored = [(i, i * 10) for i in range(ROWS)]
     schema = StreamSchema.for_table("C", ["a", "v"])
