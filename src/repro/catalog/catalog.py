@@ -7,7 +7,7 @@ data: schemas, access paths (Section 3), statistical summaries
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, ColumnType, IndexDef, TableSchema
 from repro.errors import CatalogError
@@ -206,11 +206,25 @@ class Catalog:
             raise CatalogError(f"unknown index {name!r}") from exc
 
     def rebuild_indexes(self, table: str) -> None:
-        """Rebuild every index on a table after bulk loading."""
+        """Rebuild every index on a table after bulk loading or crash
+        recovery replaced its rows."""
         for index in self.indexes_on(table):
             index.build()
         for hash_index in self.hash_indexes_on(table):
             hash_index.build()
+
+    def compact_indexes(
+        self,
+        table: str,
+        removed: Sequence[Tuple[int, Tuple[Any, ...]]],
+        moved: Dict[int, int],
+    ) -> None:
+        """Follow a vacuum of ``table`` (see ``HeapTable.compact``) in
+        every index, touching only the removed and moved rows' entries."""
+        for index in self.indexes_on(table):
+            index.compact(removed, moved)
+        for hash_index in self.hash_indexes_on(table):
+            hash_index.compact(removed, moved)
 
     # ------------------------------------------------------------------
     # Views

@@ -484,6 +484,8 @@ class Database:
         self._txn_manager: Optional[TransactionManager] = None
         self._txn_manager_lock = threading.Lock()
         self._sessions = threading.local()
+        # Serializes commit hooks' row-count moves on table statistics.
+        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Schema management
@@ -618,6 +620,7 @@ class Database:
             with self._txn_manager_lock:
                 if self._txn_manager is None:
                     manager = TransactionManager()
+                    manager.index_compactor = self.catalog.compact_indexes
                     manager.index_rebuilder = self.catalog.rebuild_indexes
                     manager.commit_hooks.append(self._on_commit)
                     manager.recovery_hooks.append(self._on_recovery)
@@ -631,35 +634,38 @@ class Database:
           pre-commit statistics and contents) misses on next lookup;
         * cardinality feedback learned against the old contents of each
           written table is dropped;
-        * table statistics, when present, have their row counts moved to
-          the new cardinality incrementally -- no full re-ANALYZE on the
-          write path (column distributions refresh at the next ANALYZE).
+        * table statistics, when present, have their row counts moved by
+          the transaction's net inserted-minus-deleted rows -- no count
+          of the table and no full re-ANALYZE on the write path (column
+          distributions refresh at the next ANALYZE).  The move is one
+          locked read-modify-write, so concurrent commits never lose
+          each other's deltas.
         """
-        # Count rows through a fresh committed-only snapshot: at hook
-        # time the heap still holds dead versions (vacuum runs after the
-        # hooks) and other transactions' in-flight writes, neither of
-        # which may leak into persisted row counts.  The snapshot was
-        # taken after our commit removed us from the active set, so it
-        # sees exactly committed state including this transaction.
-        manager = self.txn_manager
-        snapshot = manager.read_snapshot()
-        try:
-            for name, table in txn.written.items():
-                if self.feedback is not None:
-                    self.feedback.invalidate_table(name)
+        for name, delta in txn.net_rows().items():
+            if self.feedback is not None:
+                self.feedback.invalidate_table(name)
+            if not delta:
+                continue
+            with self._stats_lock:
                 stats = self.catalog.stats(name)
                 if stats is not None:
-                    live = sum(1 for _ in table.visible_rows(snapshot))
                     self.catalog.set_stats(
-                        name, replace(stats, row_count=float(live))
+                        name,
+                        replace(stats, row_count=max(0.0, stats.row_count + delta)),
                     )
-        finally:
-            manager.release_snapshot(snapshot)
         self.catalog._bump_version()
 
-    def _on_recovery(self) -> None:
-        """Post-recovery invalidation: table images were replaced."""
+    def _on_recovery(self, rebuilt: List[str]) -> None:
+        """Post-recovery invalidation: the ``rebuilt`` tables' images were
+        replaced, so cached plans go and their row counts are re-read
+        from the flat heaps."""
         self.plan_cache.clear()
+        with self._stats_lock:
+            for name in rebuilt:
+                stats = self.catalog.stats(name)
+                if stats is not None:
+                    live = float(self.catalog.table(name).row_count)
+                    self.catalog.set_stats(name, replace(stats, row_count=live))
         self.catalog._bump_version()
 
     def _session_txn(self) -> Optional[Transaction]:

@@ -196,7 +196,9 @@ class ParametricOptimizer:
         static_plan, _cost = self.optimize_at(static_value)
         results = []
         for value in samples:
-            bound_static = bind_parameter(static_plan, self.marker, value)
+            bound_static = bind_parameter(
+                static_plan, self.marker, value, self.catalog
+            )
             optimal_plan, _ = self.optimize_at(value)
             costs = []
             for plan in (bound_static, optimal_plan):
@@ -208,13 +210,15 @@ class ParametricOptimizer:
 
 
 def bind_parameter(
-    plan: PhysicalOp, marker: ParameterMarker, value: float
+    plan: PhysicalOp, marker: ParameterMarker, value: float, catalog: Catalog
 ) -> PhysicalOp:
     """A copy of ``plan`` with the parameter's constant replaced.
 
-    Rewrites (a) predicate comparisons matching the marker and (b)
-    index-scan seek bounds on the marker's column.  This is the run-time
-    binding step of a choose-plan operator.
+    Rewrites (a) predicate comparisons matching the marker and (b) the
+    seek bounds of index scans whose index leads with the marker's
+    column (``catalog`` resolves each scan's index); bounds of an index
+    on another column are left alone.  This is the run-time binding
+    step of a choose-plan operator.
     """
     import copy
 
@@ -240,7 +244,7 @@ def bind_parameter(
     children = plan.children()
     if children:
         new_children = [
-            bind_parameter(child, marker, value) for child in children
+            bind_parameter(child, marker, value, catalog) for child in children
         ]
         for attribute in ("child", "left", "right", "outer"):
             if hasattr(cloned, attribute):
@@ -254,8 +258,12 @@ def bind_parameter(
     # Index-scan bounds on the marker column.
     from repro.physical.plans import IndexScanP
 
-    if isinstance(cloned, IndexScanP):
-        index_leading = cloned.index_name  # bounds apply to leading column
+    if (
+        isinstance(cloned, IndexScanP)
+        and cloned.alias == marker.column.table
+        and catalog.index(cloned.index_name).definition.columns[0]
+        == marker.column.column
+    ):
         if marker.op in (ComparisonOp.LT, ComparisonOp.LE) and cloned.high is not None:
             cloned.high = value
         if marker.op in (ComparisonOp.GT, ComparisonOp.GE) and cloned.low is not None:

@@ -4,7 +4,9 @@ For each relation the enumerator considers a sequential scan and every
 ordered index -- as a full ordered scan (which delivers an interesting
 order for free) and, when a local predicate matches the index's leading
 column, as a seek.  Each path is costed and annotated with the order it
-delivers.
+delivers.  A ``?`` marker is as sargable as a literal: a prepared
+statement's ``col = ?`` seeks its index, and the executor reads the
+bound value when the scan starts.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.expr.expressions import (
     ComparisonOp,
     Expr,
     Literal,
+    Param,
     conjoin,
     conjuncts,
 )
@@ -81,7 +84,7 @@ def generate_access_paths(
         if seek_eq is not None:
             matching = float(table.row_count) * estimator.selectivity.selectivity(
                 Comparison(
-                    ComparisonOp.EQ, ColumnRef(alias, leading), Literal(seek_eq)
+                    ComparisonOp.EQ, ColumnRef(alias, leading), _operand(seek_eq)
                 )
             )
             scan = IndexScanP(
@@ -146,11 +149,18 @@ def _split_for_index(
     """Split a local predicate into seek bounds for an index.
 
     Returns ``(eq, low, high, low_strict, high_strict, residual)``.
-    Only simple ``col op literal`` conjuncts on the leading index column
-    become seek bounds; everything else stays residual.  Strictness is
-    tracked per bound: ``>`` / ``<`` produce exclusive bounds (the
-    SQLite oracle caught strict bounds silently widening to inclusive,
-    so every qualifying row at the boundary leaked through).
+    Only simple ``col op literal`` / ``col op ?`` conjuncts on the
+    leading index column become seek bounds; everything else stays
+    residual.  A bound is a literal value or a :class:`Param` the
+    executor resolves at run time.  Strictness is tracked per bound:
+    ``>`` / ``<`` produce exclusive bounds (the SQLite oracle caught
+    strict bounds silently widening to inclusive, so every qualifying
+    row at the boundary leaked through).
+
+    Two bounds on one side that cannot be compared at plan time (a
+    ``?`` and a literal, two ``?``, or literals of unlike types) keep
+    the first as the seek bound and leave the other residual.  An
+    equality seek wins over range bounds, which then stay residual.
     """
     eq_value: Optional[Any] = None
     low: Optional[Any] = None
@@ -158,6 +168,7 @@ def _split_for_index(
     low_strict = False
     high_strict = False
     residual: List[Expr] = []
+    range_conjuncts: List[Expr] = []
     for conjunct in conjuncts(predicate):
         bound = _literal_bound(conjunct, alias, leading_column)
         if bound is None:
@@ -166,43 +177,74 @@ def _split_for_index(
         op, value = bound
         if op is ComparisonOp.EQ and eq_value is None:
             eq_value = value
-        elif op in (ComparisonOp.GT, ComparisonOp.GE):
+            continue
+        if op in (ComparisonOp.GT, ComparisonOp.GE):
             strict = op is ComparisonOp.GT
-            if low is None or value > low:
+            order = 1 if low is None else _order(value, low)
+            if order is None:
+                residual.append(conjunct)
+                continue
+            if order > 0:
                 low, low_strict = value, strict
-            elif value == low:
+            elif order == 0:
                 low_strict = low_strict or strict
         elif op in (ComparisonOp.LT, ComparisonOp.LE):
             strict = op is ComparisonOp.LT
-            if high is None or value < high:
+            order = -1 if high is None else _order(value, high)
+            if order is None:
+                residual.append(conjunct)
+                continue
+            if order < 0:
                 high, high_strict = value, strict
-            elif value == high:
+            elif order == 0:
                 high_strict = high_strict or strict
         else:
             residual.append(conjunct)
+            continue
+        range_conjuncts.append(conjunct)
     if eq_value is not None:
         low = high = None
         low_strict = high_strict = False
+        residual.extend(range_conjuncts)
     return eq_value, low, high, low_strict, high_strict, conjoin(residual)
+
+
+def _order(value: Any, bound: Any) -> Optional[int]:
+    """-1 / 0 / 1 as ``value`` sorts below / equal / above ``bound``, or
+    None when the two cannot be compared before run time: a ``?``
+    marker (Params define no ordering) or literals of unlike types."""
+    try:
+        return (value > bound) - (value < bound)
+    except TypeError:
+        return None
 
 
 def _literal_bound(
     conjunct: Expr, alias: str, column: str
 ) -> Optional[Tuple[ComparisonOp, Any]]:
+    """``(op, bound)`` when ``conjunct`` compares ``alias.column`` with a
+    non-NULL literal (its value) or a ``?`` marker (the Param itself)."""
     if not isinstance(conjunct, Comparison):
         return None
     left, right, op = conjunct.left, conjunct.right, conjunct.op
-    if isinstance(right, ColumnRef) and isinstance(left, Literal):
+    if isinstance(right, ColumnRef) and isinstance(left, (Literal, Param)):
         left, right, op = right, left, op.flip()
-    if (
+    if not (
         isinstance(left, ColumnRef)
-        and isinstance(right, Literal)
         and left.table == alias
         and left.column == column
-        and right.value is not None
     ):
+        return None
+    if isinstance(right, Param):
+        return op, right
+    if isinstance(right, Literal) and right.value is not None:
         return op, right.value
     return None
+
+
+def _operand(bound: Any) -> Expr:
+    """A seek bound as a comparison operand."""
+    return bound if isinstance(bound, Param) else Literal(bound)
 
 
 def _range_fraction(
@@ -219,11 +261,11 @@ def _range_fraction(
     if low is not None:
         op = ComparisonOp.GT if low_strict else ComparisonOp.GE
         fraction *= estimator.selectivity.selectivity(
-            Comparison(op, ref, Literal(low))
+            Comparison(op, ref, _operand(low))
         )
     if high is not None:
         op = ComparisonOp.LT if high_strict else ComparisonOp.LE
         fraction *= estimator.selectivity.selectivity(
-            Comparison(op, ref, Literal(high))
+            Comparison(op, ref, _operand(high))
         )
     return fraction

@@ -34,11 +34,12 @@ heap layer and propagate to the transaction machinery.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
+from repro.core.systemr.access import _split_for_index
 from repro.engine.context import ExecContext
-from repro.engine.executor import _collect
+from repro.engine.executor import _collect, _index_seek
 from repro.errors import ExecutionError
 from repro.expr.compiler import compile_predicate, compile_scalar
 from repro.expr.schema import StreamSchema
@@ -87,22 +88,71 @@ def _write_gate(ctx: ExecContext, name: str, table: HeapTable, page_no: int) -> 
     ctx.write_page(name, page_no)
 
 
+def _seek_candidates(
+    catalog: Catalog, op_table: str, table: HeapTable, predicate, ctx: ExecContext
+) -> Optional[List[int]]:
+    """Row ids an ordered index narrows the predicate to, in heap order,
+    or None when no index's leading column is bound.
+
+    The bounds come from the optimizer's access-path splitter, so a
+    keyed UPDATE/DELETE seeks exactly as the same SELECT would; an
+    equality seek is preferred over a range.
+    """
+    chosen = None
+    for index in catalog.indexes_on(op_table):
+        eq, low, high, low_strict, high_strict, _residual = _split_for_index(
+            predicate, op_table, index.definition.columns[0]
+        )
+        if eq is not None:
+            chosen = (index, ((eq,), None, None, False, False))
+            break
+        if chosen is None and (low is not None or high is not None):
+            chosen = (index, (None, low, high, low_strict, high_strict))
+    if chosen is None:
+        return None
+    index, bounds = chosen
+    site = f"idx:{index.definition.name}"
+    for level in range(index.height):
+        ctx.read_page(site, -(level + 1), sequential=False)
+
+    def seek() -> List[int]:
+        # Concurrent writers maintain the index under the table lock.
+        with table.lock:
+            return _index_seek(index, *bounds)
+
+    return sorted(ctx.index_lookup(seek, site))
+
+
 def _matching_rows(
     op_table: str,
     table: HeapTable,
     predicate,
+    catalog: Catalog,
     ctx: ExecContext,
 ) -> List[Tuple[int, Row]]:
     """Materialize (row_id, row) pairs visible to the statement snapshot
-    that satisfy the predicate.  Materializing first means mutations
-    made by this very statement can never re-enter the scan."""
+    that satisfy the predicate, in heap order.  Materializing first
+    means mutations made by this very statement can never re-enter the
+    scan.  A bound leading index column turns the scan into a seek, so
+    a keyed write touches only its matches, not the whole table."""
     schema = StreamSchema.for_table(op_table, table.schema.column_names)
     keep = compile_predicate(predicate, schema)
-    for page_no in range(table.page_count):
-        ctx.read_page(op_table, page_no, sequential=True)
+    candidates = _seek_candidates(catalog, op_table, table, predicate, ctx)
     matches: List[Tuple[int, Row]] = []
-    for row_id, row in table.visible_rows(ctx.snapshot):
+    if candidates is None:
+        for page_no in range(table.page_count):
+            ctx.read_page(op_table, page_no, sequential=True)
+        for row_id, row in table.visible_rows(ctx.snapshot):
+            ctx.governor.tick()
+            if keep(row):
+                matches.append((row_id, row))
+        return matches
+    for row_id in candidates:
         ctx.governor.tick()
+        if not table.row_visible(row_id, ctx.snapshot):
+            continue
+        ctx.read_page(op_table, table.page_of(row_id), sequential=False)
+        row = table.fetch(row_id)
         if keep(row):
             matches.append((row_id, row))
     return matches
@@ -157,7 +207,7 @@ def _run_delete(op: DeleteP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
     txn = _require_txn(ctx)
     table = _target_table(catalog, op.table)
     txn.manager.register_write(txn, op.table, table)
-    matches = _matching_rows(op.table, table, op.predicate, ctx)
+    matches = _matching_rows(op.table, table, op.predicate, catalog, ctx)
     for row_id, row in matches:
         _write_gate(ctx, op.table, table, table.page_of(row_id))
         with table.lock:
@@ -179,7 +229,7 @@ def _run_update(op: UpdateP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
         (position, compile_scalar(expr, schema))
         for position, expr in op.assignments
     ]
-    matches = _matching_rows(op.table, table, op.predicate, ctx)
+    matches = _matching_rows(op.table, table, op.predicate, catalog, ctx)
     count = 0
     for row_id, row in matches:
         new_row = list(row)

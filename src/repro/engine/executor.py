@@ -42,8 +42,8 @@ from repro.engine.interpreter import InterpreterStats, sort_rows
 from repro.engine.runtime_stats import RuntimeStats
 from repro.errors import ExecutionError, MemoryBudgetExceeded
 from repro.expr.compiler import compile_predicate, compile_scalar
-from repro.expr.evaluator import bind_parameters
-from repro.expr.expressions import ColumnRef
+from repro.expr.evaluator import _param_value, bind_parameters
+from repro.expr.expressions import ColumnRef, Param
 from repro.expr.schema import StreamSchema
 from repro.logical.operators import JoinKind
 from repro.stats.feedback import harvest_feedback
@@ -393,6 +393,57 @@ def _stream_seq_scan(
         yield batch
 
 
+def _bound_value(bound: Any) -> Any:
+    return _param_value(bound) if isinstance(bound, Param) else bound
+
+
+def _index_seek(
+    index: Any,
+    eq_value: Optional[Tuple[Any, ...]],
+    low: Any,
+    high: Any,
+    low_strict: bool,
+    high_strict: bool,
+) -> List[int]:
+    """The row ids an index scan with these seek bounds reads, in key
+    order (all of them when no bound is set).
+
+    ``?`` bounds take their bound values here.  A NULL parameter matches
+    nothing: it must never open a side of the range, which is what a
+    ``None`` bound means to ``OrderedIndex.range``.  A bound whose type
+    cannot be ordered against the keys behaves as the same comparison
+    in a filter would: equality matches nothing, a range raises.
+    """
+    if eq_value is None and low is None and high is None:
+        return index.ordered_row_ids()
+    try:
+        if eq_value is not None:
+            return index.seek_prefix(tuple(_bound_value(p) for p in eq_value))
+        low_value, high_value = _bound_value(low), _bound_value(high)
+        if (low_value is None) != (low is None) or (
+            (high_value is None) != (high is None)
+        ):
+            return []
+        return index.range(
+            low_value,
+            high_value,
+            include_low=not low_strict,
+            include_high=not high_strict,
+        )
+    except TypeError as exc:
+        if eq_value is not None:
+            return []
+        first_key = next(index.ordered_entries())[0][0]
+        for bound in (low_value, high_value):
+            try:
+                bound is None or first_key < bound
+            except TypeError:
+                raise ExecutionError(
+                    f"incomparable values {first_key!r} and {bound!r}"
+                ) from exc
+        raise
+
+
 def _stream_index_scan(
     op: IndexScanP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
@@ -404,20 +455,12 @@ def _stream_index_scan(
     site = f"idx:{op.index_name}"
     for level in range(index.height):
         ctx.read_page(site, -(level + 1), sequential=False)
-    if op.eq_value is not None:
-        row_ids = ctx.index_lookup(lambda: index.seek_prefix(op.eq_value), site)
-    elif op.low is not None or op.high is not None:
-        row_ids = ctx.index_lookup(
-            lambda: index.range(
-                op.low,
-                op.high,
-                include_low=not op.low_strict,
-                include_high=not op.high_strict,
-            ),
-            site,
-        )
-    else:
-        row_ids = ctx.index_lookup(index.ordered_row_ids, site)
+    row_ids = ctx.index_lookup(
+        lambda: _index_seek(
+            index, op.eq_value, op.low, op.high, op.low_strict, op.high_strict
+        ),
+        site,
+    )
     if index.page_count:
         covered = max(
             1, round(index.page_count * len(row_ids) / max(index.entry_count, 1))

@@ -60,7 +60,6 @@ from repro.engine.context import ExecContext, ExecCounters
 from repro.engine.runtime_stats import PartitionStats
 from repro.errors import ExecutionError, MemoryBudgetExceeded
 from repro.expr.compiler import compile_predicate, compile_scalar
-from repro.expr.vector import hash_key
 from repro.logical.operators import JoinKind
 from repro.physical.plans import (
     DistinctP,
@@ -107,6 +106,10 @@ def partition_index(values: Sequence[Any], parts: int) -> int:
     agree lane for lane, and numerically equal int/float/bool keys land
     in the same partition on both sides of a repartitioned join.
     """
+    # Imported on use: repro.expr.vector loads numpy, which sessions
+    # that never run a parallel or columnar plan need not pay for.
+    from repro.expr.vector import hash_key
+
     return hash_key(values) % parts
 
 

@@ -113,10 +113,11 @@ class Param(Expr):
     """A prepared-statement parameter placeholder (``?``), 0-indexed.
 
     The optimizer treats a parameter like an opaque constant: it never
-    contributes columns, selectivity estimation falls back to the
-    System-R defaults, and access-path seek extraction skips it.  The
-    executor substitutes the bound value at evaluation time, which is
-    what lets one cached plan serve many EXECUTEs.
+    contributes columns, selectivity estimation applies System R's
+    unknown-constant rules, and an index on the compared column can
+    still seek it.  The executor substitutes the bound value at
+    evaluation time (and when an index scan starts), which is what
+    lets one cached plan serve many EXECUTEs.
     """
 
     __slots__ = ("index",)

@@ -23,6 +23,7 @@ from repro.expr.expressions import (
     IsNull,
     Literal,
     NotExpr,
+    Param,
     UdfCall,
 )
 from repro.stats.summaries import ColumnStats, TableStats
@@ -281,15 +282,33 @@ class SelectivityEstimator:
     def _comparison(self, predicate: Comparison) -> float:
         left, right, op = predicate.left, predicate.right, predicate.op
         # Normalize to column-on-the-left.
-        if isinstance(right, ColumnRef) and isinstance(left, Literal):
+        if isinstance(right, ColumnRef) and isinstance(left, (Literal, Param)):
             left, right, op = right, left, op.flip()
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
             return self._column_vs_literal(left, op, right.value)
+        if isinstance(left, ColumnRef) and isinstance(right, Param):
+            return self._column_vs_param(left, op)
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             if left.table == right.table:
                 return DEFAULT_GENERIC_SELECTIVITY
             return self.join_selectivity(left, right, op)
         return DEFAULT_GENERIC_SELECTIVITY
+
+    def _column_vs_param(self, ref: ColumnRef, op: ComparisonOp) -> float:
+        """``col op ?``: the value is unknown at plan time, so System R's
+        rule applies -- an equality matches one distinct value's share
+        of the non-NULL rows, a range the ad hoc third."""
+        stats = self.column_stats(ref)
+        not_null = 1.0 - stats.null_fraction if stats is not None else 1.0
+        if op in (ComparisonOp.EQ, ComparisonOp.NE):
+            if stats is not None and stats.distinct_count > 0:
+                eq = not_null / stats.distinct_count
+            else:
+                eq = DEFAULT_EQ_SELECTIVITY
+            if op is ComparisonOp.EQ:
+                return eq
+            return max(0.0, not_null - eq)
+        return DEFAULT_RANGE_SELECTIVITY
 
     def _column_vs_literal(
         self, ref: ColumnRef, op: ComparisonOp, value: object

@@ -199,7 +199,7 @@ def analyze_table(
         )
     stats = TableStats(
         table=table,
-        row_count=float(heap.row_count),
+        row_count=float(heap.committed_row_count()),
         page_count=float(heap.page_count),
         columns=column_stats,
     )

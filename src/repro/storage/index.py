@@ -10,17 +10,26 @@ of the index and whether it is clustered, both of which are modelled.
 from __future__ import annotations
 
 import bisect
+from array import array
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import IndexDef
 from repro.errors import StorageError
-from repro.storage.table import HeapTable
+from repro.storage.table import HeapTable, Row
 
 Key = Tuple[Any, ...]
 
 # Modelled size of one index entry: key bytes are approximated by the
 # indexed columns' widths plus an 8-byte row pointer.
 _ROW_POINTER_BYTES = 8
+
+
+def _index_key(row: Sequence[Any], positions: Sequence[int]) -> Optional[Key]:
+    """The row's index key, or None when a component is NULL (NULL keys
+    are never indexed: they satisfy no seek predicate)."""
+    key = tuple([row[position] for position in positions])
+    return None if None in key else key
 
 
 class OrderedIndex:
@@ -44,8 +53,11 @@ class OrderedIndex:
             table.schema.column(name).width_bytes for name in definition.columns
         )
         self._entry_width = key_width + _ROW_POINTER_BYTES
+        # Parallel columns in key order; within one key, row ids ascend
+        # (the order build() gives).  Row ids are machine words: an
+        # array holds them without a Python int object per entry.
         self._keys: List[Key] = []
-        self._row_ids: List[int] = []
+        self._row_ids = array("q")
         self.build()
 
     # ------------------------------------------------------------------
@@ -55,11 +67,10 @@ class OrderedIndex:
         """(Re)build the index from the current table contents."""
         entries: List[Tuple[Key, int]] = []
         for row_id, row in self.table.scan():
-            key = tuple(row[position] for position in self._column_positions)
-            if any(part is None for part in key):
-                continue
-            entries.append((key, row_id))
-        entries.sort(key=lambda entry: entry[0])
+            key = self._key(row)
+            if key is not None:
+                entries.append((key, row_id))
+        entries.sort(key=itemgetter(0))
         if self.definition.unique:
             for left, right in zip(entries, entries[1:]):
                 if left[0] == right[0]:
@@ -68,7 +79,7 @@ class OrderedIndex:
                         f"{self.definition.name!r}"
                     )
         self._keys = [entry[0] for entry in entries]
-        self._row_ids = [entry[1] for entry in entries]
+        self._row_ids = array("q", [entry[1] for entry in entries])
 
     def insert_entry(self, row: Sequence[Any], row_id: int) -> None:
         """Incrementally index one newly inserted row.
@@ -85,14 +96,56 @@ class OrderedIndex:
         Raises:
             StorageError: the key already exists in a unique index.
         """
-        key = tuple(row[position] for position in self._column_positions)
-        if any(part is None for part in key):
+        key = self._key(row)
+        if key is None:
             return
         if self.definition.unique:
             self._check_unique(key, row_id)
-        position = bisect.bisect_right(self._keys, key)
+        self._insert(key, row_id)
+
+    def compact(
+        self, removed: Sequence[Tuple[int, Row]], moved: Dict[int, int]
+    ) -> None:
+        """Follow a table vacuum (see :meth:`HeapTable.compact`): drop the
+        entries of the ``removed`` ``(row_id, row)`` versions, then give
+        each ``moved`` row (old id -> new id) its new id.  A bisect and a
+        list splice per entry touched; the result equals a fresh
+        :meth:`build`."""
+        for row_id, row in removed:
+            key = self._key(row)
+            if key is not None:
+                self._delete(key, row_id)
+        for old, new in moved.items():
+            key = self._key(self.table.fetch(new))
+            if key is not None:
+                self._delete(key, old)
+                self._insert(key, new)
+
+    def _key(self, row: Sequence[Any]) -> Optional[Key]:
+        return _index_key(row, self._column_positions)
+
+    def _position(self, key: Key, row_id: int) -> int:
+        """Where ``(key, row_id)`` sits (or belongs) in key, row-id order."""
+        low = bisect.bisect_left(self._keys, key)
+        high = bisect.bisect_right(self._keys, key, low)
+        return bisect.bisect_left(self._row_ids, row_id, low, high)
+
+    def _insert(self, key: Key, row_id: int) -> None:
+        position = self._position(key, row_id)
         self._keys.insert(position, key)
         self._row_ids.insert(position, row_id)
+
+    def _delete(self, key: Key, row_id: int) -> None:
+        # A version whose statement failed before reaching this index
+        # has no entry to drop.
+        position = self._position(key, row_id)
+        if (
+            position < len(self._row_ids)
+            and self._row_ids[position] == row_id
+            and self._keys[position] == key
+        ):
+            del self._keys[position]
+            del self._row_ids[position]
 
     def _check_unique(self, key: Key, row_id: int) -> None:
         left = bisect.bisect_left(self._keys, key)
@@ -149,7 +202,7 @@ class OrderedIndex:
             return []
         left = bisect.bisect_left(self._keys, key)
         right = bisect.bisect_right(self._keys, key)
-        return self._row_ids[left:right]
+        return self._row_ids[left:right].tolist()
 
     def seek_prefix(self, prefix: Any) -> List[int]:
         """Row ids whose key starts with ``prefix`` (leading-column lookup).
@@ -193,13 +246,13 @@ class OrderedIndex:
                 if include_high
                 else bisect.bisect_left(self._keys, high_key)
             )
-        return self._row_ids[left:right]
+        return self._row_ids[left:right].tolist()
 
     def ordered_row_ids(self, descending: bool = False) -> List[int]:
         """All row ids in key order -- an ordered index scan."""
         if descending:
-            return list(reversed(self._row_ids))
-        return list(self._row_ids)
+            return self._row_ids[::-1].tolist()
+        return self._row_ids.tolist()
 
     def ordered_entries(self) -> Iterator[Tuple[Key, int]]:
         """Yield ``(key, row_id)`` in ascending key order."""
@@ -234,10 +287,9 @@ class HashIndex:
         """(Re)build the hash buckets from the current table contents."""
         buckets: Dict[Key, List[int]] = {}
         for row_id, row in self.table.scan():
-            key = tuple(row[position] for position in self._column_positions)
-            if any(part is None for part in key):
-                continue
-            buckets.setdefault(key, []).append(row_id)
+            key = self._key(row)
+            if key is not None:
+                buckets.setdefault(key, []).append(row_id)
         if self.definition.unique:
             for key, ids in buckets.items():
                 if len(ids) > 1:
@@ -256,8 +308,8 @@ class HashIndex:
         Raises:
             StorageError: the key already exists in a unique index.
         """
-        key = tuple(row[position] for position in self._column_positions)
-        if any(part is None for part in key):
+        key = self._key(row)
+        if key is None:
             return
         bucket = self._buckets.get(key)
         if self.definition.unique and bucket:
@@ -270,6 +322,33 @@ class HashIndex:
                         f"{self.definition.name!r}"
                     )
         self._buckets.setdefault(key, []).append(row_id)
+
+    def compact(
+        self, removed: Sequence[Tuple[int, Row]], moved: Dict[int, int]
+    ) -> None:
+        """Follow a table vacuum as :meth:`OrderedIndex.compact` does;
+        buckets keep their row ids ascending, as :meth:`build` leaves
+        them."""
+        for row_id, row in removed:
+            key = self._key(row)
+            if key is not None:
+                self._delete(key, row_id)
+        for old, new in moved.items():
+            key = self._key(self.table.fetch(new))
+            if key is not None:
+                self._delete(key, old)
+                bisect.insort(self._buckets.setdefault(key, []), new)
+
+    def _key(self, row: Sequence[Any]) -> Optional[Key]:
+        return _index_key(row, self._column_positions)
+
+    def _delete(self, key: Key, row_id: int) -> None:
+        # As in OrderedIndex._delete, the entry may never have been made.
+        bucket = self._buckets.get(key, [])
+        if row_id in bucket:
+            bucket.remove(row_id)
+            if not bucket:
+                del self._buckets[key]
 
     @property
     def entry_count(self) -> int:

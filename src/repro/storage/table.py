@@ -60,6 +60,9 @@ class HeapTable:
         # snapshot-free readers (legacy direct-execute paths) skip rows
         # created by aborted transactions.
         self._mvcc_aborted: Set[int] = set()
+        # Live reference to the manager's in-flight txid set (installed
+        # with the aborted set): lets ANALYZE count committed rows only.
+        self._mvcc_active: Set[int] = set()
         # Guards every heap mutation: append + row-id assignment and the
         # conflict check + version-stamp write must be atomic under
         # concurrent writer threads.  Reentrant so the DML executors can
@@ -114,9 +117,11 @@ class HeapTable:
         observe committed states)."""
         self._data_version += 1
 
-    def attach_mvcc(self, aborted: Set[int]) -> None:
-        """Install the transaction manager's live aborted-txid set."""
+    def attach_mvcc(self, aborted: Set[int], active: Set[int]) -> None:
+        """Install the transaction manager's live aborted- and
+        active-txid sets."""
         self._mvcc_aborted = aborted
+        self._mvcc_active = active
 
     def mvcc_insert(self, row: Sequence[Any], txid: int) -> int:
         """Append a row created by ``txid``; invisible to other snapshots
@@ -210,6 +215,71 @@ class HeapTable:
             for row_id, row in enumerate(self._rows)
             if self.row_visible(row_id, snapshot)
         )
+
+    def committed_row_count(self) -> int:
+        """Rows whose insert has committed and whose delete, if any, has
+        not: the base that commit-time row-count deltas move.  Reads only
+        the sparse version maps."""
+        with self.lock:
+            if not self._xmin and not self._xmax:
+                return len(self._rows)
+            pending = self._mvcc_active | self._mvcc_aborted
+            uncommitted = {
+                row_id for row_id, xmin in self._xmin.items() if xmin in pending
+            }
+            deleted = {
+                row_id for row_id, xmax in self._xmax.items()
+                if xmax not in pending
+            }
+            return len(self._rows) - len(uncommitted | deleted)
+
+    def dead_row_ids(self) -> List[int]:
+        """Sorted ids of the row versions no snapshot can see any more --
+        committed deletes and aborted inserts -- assuming no transaction
+        is in flight (vacuum's precondition).  Only rows in the sparse
+        version maps can be dead, so this never visits the whole heap."""
+        aborted = self._mvcc_aborted
+        dead = {
+            row_id for row_id, xmax in self._xmax.items() if xmax not in aborted
+        }
+        dead.update(
+            row_id for row_id, xmin in self._xmin.items() if xmin in aborted
+        )
+        return sorted(dead)
+
+    def compact(
+        self, dead: Sequence[int]
+    ) -> Tuple[List[Tuple[int, Row]], Dict[int, int]]:
+        """Vacuum: drop the row versions ``dead`` (sorted ids) and fold the
+        version metadata.
+
+        Each dead slot, highest first, takes the heap's last live row
+        (swap-remove), so only the moved rows change id and the cost is
+        proportional to the dead rows, not the table.  An UPDATE appends
+        its new versions last, so unless other rows were appended after
+        them, vacuum puts each back in its old version's slot and heap
+        order survives the update; a DELETE's hole takes the last row.
+
+        Returns:
+            ``(removed, moved)``: the dropped ``(row_id, row)`` versions,
+            and the old id -> new id of every row that moved, for index
+            maintenance.
+        """
+        with self.lock:
+            rows = list(self._rows)
+            removed = [(row_id, rows[row_id]) for row_id in dead]
+            moved: Dict[int, int] = {}
+            origin: Dict[int, int] = {}  # slot -> original id of its row
+            for row_id in reversed(dead):
+                last = len(rows) - 1
+                if row_id != last:
+                    rows[row_id] = rows[last]
+                    source = origin.pop(last, last)
+                    origin[row_id] = source
+                    moved[source] = row_id
+                rows.pop()
+            self.replace_rows(rows)
+            return removed, moved
 
     def replace_rows(self, rows: List[Row]) -> None:
         """Swap in a fully-committed row image (vacuum / crash recovery):

@@ -20,6 +20,7 @@ the system is quiescent, restoring the zero-overhead read paths.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -105,14 +106,20 @@ class Transaction:
         self.rows_written = 0
 
     # -- write bookkeeping (called by the DML executors) ----------------
+    # Table names are interned: the log keeps every record, and each
+    # statement's parse made its own copy of the name.
     def note_insert(self, name: str, table: HeapTable, row_id: int, values: Row) -> None:
         self.undo.append((_UNDO_INSERT, table, row_id))
-        self.stmt_records.append(WalRecord(INSERT, self.txid, name, tuple(values)))
+        self.stmt_records.append(
+            WalRecord(INSERT, self.txid, sys.intern(name), tuple(values))
+        )
         self.rows_written += 1
 
     def note_delete(self, name: str, table: HeapTable, row_id: int, values: Row) -> None:
         self.undo.append((_UNDO_DELETE, table, row_id))
-        self.stmt_records.append(WalRecord(DELETE, self.txid, name, tuple(values)))
+        self.stmt_records.append(
+            WalRecord(DELETE, self.txid, sys.intern(name), tuple(values))
+        )
         self.rows_written += 1
 
     def note_update(
@@ -128,10 +135,23 @@ class Transaction:
         self.undo.append((_UNDO_INSERT, table, new_row_id))
         self.stmt_records.append(
             WalRecord(
-                UPDATE, self.txid, name, tuple(new_values), tuple(old_values)
+                UPDATE,
+                self.txid,
+                sys.intern(name),
+                tuple(new_values),
+                tuple(old_values),
             )
         )
         self.rows_written += 1
+
+    def net_rows(self) -> Dict[str, int]:
+        """Inserted minus deleted rows per written table, from the undo
+        entries still standing (rolled-back statements left none)."""
+        names = {id(table): name for name, table in self.written.items()}
+        net = dict.fromkeys(self.written, 0)
+        for kind, table, _row_id in self.undo:
+            net[names[id(table)]] += 1 if kind == _UNDO_INSERT else -1
+        return net
 
     def _apply_undo(self, entries: List[Tuple[str, HeapTable, int]]) -> None:
         for kind, table, row_id in reversed(entries):
@@ -149,9 +169,12 @@ class TransactionManager:
 
     * ``commit_hooks`` run once per commit (catalog-version bump, plan
       cache / feedback / statistics invalidation).
-    * ``index_rebuilder`` rebuilds a table's indexes after vacuum or
-      recovery shifts row ids.
-    * ``recovery_hooks`` run after :meth:`recover` replaces table images.
+    * ``index_compactor`` follows a vacuum in a table's indexes: drops
+      the dead rows' entries and re-points the rows it moved.
+    * ``index_rebuilder`` rebuilds a table's indexes after recovery
+      replaces its rows.
+    * ``recovery_hooks`` run after :meth:`recover` replaces table images,
+      with the names of the tables it rebuilt.
     """
 
     def __init__(self, wal: Optional[WriteAheadLog] = None) -> None:
@@ -163,7 +186,10 @@ class TransactionManager:
         self._tables: Dict[str, HeapTable] = {}
         self._pinned = 0
         self.commit_hooks: List[Callable[[Transaction], None]] = []
-        self.recovery_hooks: List[Callable[[], None]] = []
+        self.recovery_hooks: List[Callable[[List[str]], None]] = []
+        self.index_compactor: Optional[
+            Callable[[str, List[Tuple[int, Row]], Dict[int, int]], None]
+        ] = None
         self.index_rebuilder: Optional[Callable[[str], None]] = None
         self.commits = 0
         self.aborts = 0
@@ -209,7 +235,7 @@ class TransactionManager:
         with self._lock:
             if name not in self._tables:
                 self.wal.ensure_checkpoint(name, table.rows())
-                table.attach_mvcc(self.aborted)
+                table.attach_mvcc(self.aborted, self.active)
                 self._tables[name] = table
             txn.written[name] = table
 
@@ -290,9 +316,12 @@ class TransactionManager:
         """Fold version metadata back into flat tables when quiescent.
 
         Runs only with no active transactions and no pinned snapshots,
-        so nobody can observe the dead versions being reclaimed.  Rows
-        are only ever appended, so a same-length survivor list is
-        physically identical and needs no version bump or index rebuild.
+        so nobody can observe the dead versions being reclaimed.  Dead
+        rows are found from the sparse version maps; the heap fills their
+        slots with its last rows and ``index_compactor`` fixes just those
+        entries, so a vacuum costs the rows it reclaims, never a scan or
+        a re-sort.  A table without dead rows keeps its row ids and
+        needs no index work at all.
         """
         with self._lock:
             if self.active or self._pinned:
@@ -300,15 +329,11 @@ class TransactionManager:
             for name, table in self._tables.items():
                 if table.is_flat:
                     continue
-                survivors = [
-                    row
-                    for row_id, row in enumerate(table.rows())
-                    if table.row_visible(row_id, None)
-                ]
-                if len(survivors) != len(table.rows()):
-                    table.replace_rows(survivors)
-                    if self.index_rebuilder is not None:
-                        self.index_rebuilder(name)
+                dead = table.dead_row_ids()
+                if dead:
+                    removed, moved = table.compact(dead)
+                    if self.index_compactor is not None:
+                        self.index_compactor(name, removed, moved)
                 else:
                     table._xmin.clear()
                     table._xmax.clear()
@@ -339,11 +364,11 @@ class TransactionManager:
                 if table is None:
                     continue
                 table.replace_rows(rows)
-                table.attach_mvcc(self.aborted)
+                table.attach_mvcc(self.aborted, self.active)
                 if self.index_rebuilder is not None:
                     self.index_rebuilder(name)
                 rebuilt.append(name)
             hooks = list(self.recovery_hooks)
         for hook in hooks:
-            hook()
+            hook(rebuilt)
         return rebuilt

@@ -19,8 +19,7 @@ suite exercises.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 Row = Tuple[Any, ...]
 
@@ -32,9 +31,9 @@ COMMIT = "commit"
 ABORT = "abort"
 
 
-@dataclass(frozen=True)
-class WalRecord:
-    """One logical log record.
+class WalRecord(NamedTuple):
+    """One logical log record (a named tuple: the log keeps every record
+    of the session, so each one is as small as a tuple can be).
 
     Attributes:
         kind: ``insert`` / ``delete`` / ``update`` / ``commit`` / ``abort``.

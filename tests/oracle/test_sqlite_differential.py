@@ -21,6 +21,7 @@ rule them out.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -36,9 +37,19 @@ from repro.datagen import (
 )
 from repro.engine.context import ExecContext
 from repro.engine.executor import execute
-from repro.physical.plans import plan_signature
+from repro.errors import ReproError
+from repro.expr.expressions import Param
+from repro.physical.plans import IndexScanP, plan_signature, walk_physical
+from repro.sql.ast import (
+    AstBetween,
+    AstBool,
+    AstComparison,
+    AstLiteral,
+    AstNot,
+    AstParam,
+)
 from repro.sql.parser import parse
-from repro.sql.render import render_sqlite
+from repro.sql.render import render_select, render_sqlite
 from repro.stats import CardinalityFeedback
 
 from tests.oracle.harness import (
@@ -261,3 +272,203 @@ def test_oracle_parameter_binding(oracle_db):
             index, "batch", sql, sqlite_sql, ours, oracle_rows, ordered=True
         )
     report.raise_if_any()
+
+
+# ----------------------------------------------------------------------
+# Prepared statements: the same corpus with ? markers
+# ----------------------------------------------------------------------
+def _parameterize(stmt):
+    """``stmt`` with every constant operand of a top-level WHERE
+    comparison or BETWEEN replaced by ``?``, plus the values taken out,
+    in the left-to-right order the renderer emits the markers."""
+    values = []
+
+    def marker(expr):
+        if isinstance(expr, AstLiteral):
+            values.append(expr.value)
+            return AstParam(len(values) - 1)
+        return walk(expr)
+
+    def walk(expr):
+        if isinstance(expr, AstComparison):
+            return dataclasses.replace(
+                expr, left=marker(expr.left), right=marker(expr.right)
+            )
+        if isinstance(expr, AstBetween):
+            return dataclasses.replace(
+                expr, arg=walk(expr.arg), low=marker(expr.low),
+                high=marker(expr.high),
+            )
+        if isinstance(expr, AstBool):
+            return dataclasses.replace(
+                expr, args=tuple(walk(arg) for arg in expr.args)
+            )
+        if isinstance(expr, AstNot):
+            return dataclasses.replace(expr, arg=walk(expr.arg))
+        return expr
+
+    where = walk(stmt.where) if stmt.where is not None else None
+    return dataclasses.replace(stmt, where=where), values
+
+
+def _run_prepared(db, name, sql, values, columnar):
+    """Rows of ``sql`` through prepare/execute_prepared on one engine,
+    or the error type it raised."""
+    db.columnar_mode = columnar
+    try:
+        return [tuple(row) for row in db.execute_prepared(name, *values).rows]
+    except ReproError as error:
+        return type(error)
+    finally:
+        db.columnar_mode = False
+
+
+def _seeks_a_marker(plan) -> bool:
+    return any(
+        isinstance(op, IndexScanP)
+        and any(isinstance(bound, Param)
+                for bound in (op.eq_value or ()) + (op.low, op.high))
+        for op in walk_physical(plan)
+    )
+
+
+def test_oracle_prepared_queries(oracle_db, random_corpus):
+    """The random corpus with its WHERE constants as ``?`` markers,
+    prepared once and executed on the row-batch and columnar engines,
+    must match SQLite running the same text with the same parameters."""
+    db, conn = oracle_db
+    report = TriageReport()
+    prepared = 0
+    for index, (sql, _sqlite_sql, _rows, _plan) in enumerate(random_corpus):
+        stmt, values = _parameterize(parse(sql))
+        if not values:
+            continue
+        text, sqlite_text = render_select(stmt), render_sqlite(stmt)
+        oracle_rows = run_sqlite(conn, sqlite_text, values)
+        name = f"oracle_prepared_{index}"
+        db.prepare(name, text)
+        prepared += 1
+        try:
+            for engine, columnar in (("batch", False), ("columnar", True)):
+                ours = _run_prepared(db, name, text, values, columnar)
+                report.compare(index, f"{engine}/prepared", f"{text} {values}",
+                               sqlite_text, ours, oracle_rows)
+        finally:
+            db.deallocate(name)
+    assert prepared > QUERY_COUNT // 3, "too few corpus queries had constants"
+    assert report.checked == 2 * prepared
+    report.raise_if_any()
+
+
+@pytest.fixture(scope="module")
+def seek_db():
+    """The oracle dataset at 2000 employees -- enough pages that the
+    optimizer seeks idx_emp_pk for selective predicates -- plus its
+    SQLite mirror."""
+    db = Database()
+    build_emp_dept(
+        db.catalog,
+        emp_rows=2000,
+        dept_rows=DEPT_ROWS,
+        rng=random.Random(3),
+        null_fraction=NULL_FRACTION,
+    )
+    db.analyze()
+    conn = mirror_to_sqlite(db.catalog)
+    yield db, conn
+    conn.close()
+
+
+# (text, parameter tuples).  NULL parameters, strict and inclusive
+# bounds, a ? and a literal bounding one column, and seeks on the
+# unique emp_no index and the NULL-bearing dept_no index.
+PREPARED_EDGE_CASES = [
+    ("SELECT E.emp_no AS k, E.name AS n FROM Emp E WHERE E.emp_no = ?",
+     [(5,), (5.0,), (None,), (0,), (2000,), (2001,)]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no > ? AND E.emp_no < ?",
+     [(10, 20), (10, 11), (10, 10), (None, 20), (10, None), (20, 10)]),
+    ("SELECT COUNT(*) AS c, SUM(E.sal) AS s FROM Emp E "
+     "WHERE E.emp_no BETWEEN ? AND ?",
+     [(1, 50), (50, 50), (None, 50), (50, 1), (-5, 5000)]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no >= ? AND E.emp_no > 15",
+     [(10,), (15,), (16,), (1990,), (None,)]),
+    ("SELECT E.emp_no AS k FROM Emp E "
+     "WHERE E.emp_no < 30 AND E.emp_no <= ? AND E.emp_no > ?",
+     [(25, 20), (40, 20), (30, 29), (None, 1), (25, None)]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no = ? AND E.emp_no > 10",
+     [(5,), (15,), (None,)]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no = ? AND E.emp_no = ?",
+     [(5, 5), (5, 6), (None, 5)]),
+    ("SELECT E.emp_no AS k, E.dept_no AS d FROM Emp E WHERE E.dept_no = ?",
+     [(3,), (None,), (DEPT_ROWS + 1,)]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.dept_no < ? AND E.age >= ?",
+     [(4, 30), (None, 30), (4, None)]),
+]
+
+
+def test_oracle_prepared_edge_cases(seek_db):
+    db, conn = seek_db
+    seeking = 0
+    report = TriageReport()
+    for index, (text, cases) in enumerate(PREPARED_EDGE_CASES):
+        name = f"oracle_edge_{index}"
+        db.prepare(name, text)
+        seeking += _seeks_a_marker(db.optimize(text).physical)
+        sqlite_text = render_sqlite(parse(text))
+        try:
+            for values in cases:
+                oracle_rows = run_sqlite(conn, sqlite_text, values)
+                for engine, columnar in (("batch", False), ("columnar", True)):
+                    ours = _run_prepared(db, name, text, values, columnar)
+                    report.compare(index, f"{engine}/prepared",
+                                   f"{text} {values}", sqlite_text, ours,
+                                   oracle_rows)
+        finally:
+            db.deallocate(name)
+    report.raise_if_any()
+    assert seeking >= 7, "too few edge cases seek an index on a ? marker"
+
+
+# A parameter whose type differs from the key's: SQLite orders values
+# of unlike types where the engine raises, so the reference is the
+# engine running the same statement with the value as literal text.
+MISTYPED_PARAMETERS = [
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no = ?", ["abc", True]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no < ?", ["abc"]),
+    ("SELECT E.emp_no AS k FROM Emp E WHERE E.emp_no BETWEEN 3 AND ?",
+     ["abc", 7.5]),
+    ("SELECT E.name AS n FROM Emp E WHERE E.name = ?", [5, "emp_005"]),
+    ("SELECT E.name AS n FROM Emp E WHERE E.name >= ?", [5]),
+]
+
+
+def _literal_sql(value) -> str:
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return str(value).upper() if isinstance(value, bool) else repr(value)
+
+
+def test_prepared_mistyped_parameter_matches_literal_text(seek_db):
+    db, _conn = seek_db
+    for index, (text, values) in enumerate(MISTYPED_PARAMETERS):
+        name = f"oracle_mistyped_{index}"
+        db.prepare(name, text)
+        try:
+            for value in values:
+                literal = text.replace("?", _literal_sql(value))
+                for columnar in (False, True):
+                    db.columnar_mode = columnar
+                    try:
+                        expected = [tuple(row) for row in db.sql(literal).rows]
+                    except ReproError as error:
+                        expected = type(error)
+                    finally:
+                        db.columnar_mode = False
+                    ours = _run_prepared(db, name, text, [value], columnar)
+                    if isinstance(expected, list):
+                        assert isinstance(ours, list), (literal, columnar, ours)
+                        assert sorted(ours) == sorted(expected), (literal, columnar)
+                    else:
+                        assert ours is expected, (literal, columnar, ours)
+        finally:
+            db.deallocate(name)

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.catalog import Catalog, Column, ColumnType
+from repro.core.cascades import CascadesOptimizer
 from repro.core.systemr.access import generate_access_paths
 from repro.cost import DEFAULT_PARAMETERS
 from repro.datagen import graph_stats
 from repro.engine import execute
 from repro.expr import BoolExpr, BoolOp, Comparison, ComparisonOp, col, lit
+from repro.expr.expressions import Param
 from repro.logical.querygraph import QueryGraph
 from repro.physical import IndexScanP, SeqScanP
 from repro.stats import CardinalityEstimator, analyze_table
+from repro.stats.selectivity import DEFAULT_RANGE_SELECTIVITY
 
 from tests.conftest import assert_same_rows
 
@@ -118,6 +121,86 @@ class TestPathGeneration:
             if isinstance(p, IndexScanP) and p.eq_value is not None
         )
         assert seek.est_cost.total < seq.est_cost.total
+
+
+class TestParamSeeks:
+    """``col op ?`` is sargable: the seek carries the Param and the
+    executor resolves it from the bound parameters."""
+
+    def _seek(self, catalog, predicate, index_name="idx_a"):
+        paths, _g = paths_for(catalog, predicate)
+        return paths, next(
+            p for p in paths
+            if isinstance(p, IndexScanP) and p.index_name == index_name
+        )
+
+    def test_eq_and_range_markers_become_seek_bounds(self, setup):
+        _paths, seek = self._seek(
+            setup, Comparison(ComparisonOp.EQ, col("T", "a"), Param(0))
+        )
+        assert seek.eq_value == (Param(0),) and seek.predicate is None
+        assert "eq=(?1,)" in seek.explain()
+        _paths, seek = self._seek(setup, BoolExpr(BoolOp.AND, [
+            Comparison(ComparisonOp.GE, col("T", "a"), Param(0)),
+            Comparison(ComparisonOp.GT, Param(1), col("T", "a")),
+        ]))
+        assert (seek.low, seek.high) == (Param(0), Param(1))
+        assert (seek.low_strict, seek.high_strict) == (False, True)
+        assert seek.predicate is None
+
+    def test_unorderable_bounds_keep_the_first_and_the_rest_residual(
+        self, setup
+    ):
+        first = Comparison(ComparisonOp.GE, col("T", "a"), Param(0))
+        second = Comparison(ComparisonOp.GT, col("T", "a"), lit(15))
+        _paths, seek = self._seek(setup, BoolExpr(BoolOp.AND, [first, second]))
+        assert seek.low == Param(0) and seek.predicate == second
+        # An equality seek wins; the range conjuncts stay as residual.
+        eq = Comparison(ComparisonOp.EQ, col("T", "a"), Param(0))
+        _paths, seek = self._seek(setup, BoolExpr(BoolOp.AND, [eq, second]))
+        assert seek.eq_value == (Param(0),) and seek.predicate == second
+
+    def test_marker_selectivity_follows_system_r(self, setup):
+        graph = QueryGraph()
+        graph.add_relation("T", "T")
+        estimator = CardinalityEstimator(graph_stats(setup, graph))
+        selectivity = estimator.selectivity.selectivity
+        assert selectivity(
+            Comparison(ComparisonOp.EQ, col("T", "a"), Param(0))
+        ) == pytest.approx(1 / 40)
+        assert selectivity(
+            Comparison(ComparisonOp.LT, col("T", "a"), Param(0))
+        ) == pytest.approx(DEFAULT_RANGE_SELECTIVITY)
+        _paths, seek = self._seek(
+            setup, Comparison(ComparisonOp.EQ, col("T", "a"), Param(0))
+        )
+        seq = next(p for p in _paths if isinstance(p, SeqScanP))
+        assert seek.est_cost.total < seq.est_cost.total
+
+    @pytest.mark.parametrize("values", [(5, 9), (9, 5), (None, 9), (5, None)])
+    def test_every_path_agrees_for_bound_values(self, setup, values):
+        predicate = BoolExpr(BoolOp.AND, [
+            Comparison(ComparisonOp.GE, col("T", "a"), Param(0)),
+            Comparison(ComparisonOp.LE, col("T", "a"), Param(1)),
+            Comparison(ComparisonOp.EQ, col("T", "b"), lit(3)),
+        ])
+        paths, _g = paths_for(setup, predicate)
+        results = [execute(path, setup, parameters=values)[1] for path in paths]
+        for other in results[1:]:
+            assert_same_rows(other, results[0])
+        if None in values:
+            assert results[0] == [], "a NULL parameter opened a range side"
+
+    def test_cascades_seeks_a_marker_too(self, setup):
+        graph = QueryGraph()
+        graph.add_relation("T", "T")
+        graph.add_predicate(
+            Comparison(ComparisonOp.EQ, col("T", "a"), Param(0))
+        )
+        plan, _cost = CascadesOptimizer(
+            setup, graph, graph_stats(setup, graph)
+        ).best_plan()
+        assert "IndexScan(T AS T via idx_a eq=(?1,))" in plan.explain()
 
 
 class TestExecutorEdgeCases:

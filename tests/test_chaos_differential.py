@@ -152,15 +152,14 @@ def test_chaos_adaptive_outcomes_are_deterministic():
 
 
 @pytest.mark.parametrize("rate", FAULT_RATES)
-def test_chaos_suite_under_legacy_engine(rate):
+def test_chaos_suite_under_columnar_engine(rate):
     """The robustness contract is engine-independent.
 
     Runs on the serial columnar engine.  It prices plans with the
     vectorized cost model and pulls storage in its own order, so its
     fault schedule may differ from the row-batch engine's, but every
     query must still return the fault-free rows or fail typed, with the
-    session intact afterwards.  (The name predates the removal of the
-    materializing engine this test used to run on.)
+    session intact afterwards.
     """
     outcomes = _chaos_run(rate, count=60, columnar=True)
     assert len(outcomes) == 60
@@ -169,7 +168,7 @@ def test_chaos_suite_under_legacy_engine(rate):
     assert sum(o[2] for o in outcomes) > 0
 
 
-def test_chaos_legacy_outcomes_are_deterministic():
+def test_chaos_columnar_outcomes_are_deterministic():
     """Columnar-engine chaos outcomes reproduce exactly (see above)."""
     first = _chaos_run(0.05, count=40, columnar=True)
     second = _chaos_run(0.05, count=40, columnar=True)

@@ -153,13 +153,12 @@ def test_repeated_runs_are_deterministic(par_db):
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
-def test_legacy_simulated_pages_match_measured_pages(par_db):
+def test_serial_simulated_pages_match_measured_pages(par_db):
     """The serial pass-through's simulated ``exchange_pages`` equals the
     parallel runtime's measured pages on the same plan -- the
     accounting the cost model is calibrated against.  Unlike the
     counter-parity test this covers the broadcast regions of the
-    three-way join too.  (The name predates the removal of the
-    materializing engine that used to provide the simulation.)"""
+    three-way join too."""
     for sql in (JOIN_SQL, AGG_SQL, THREE_WAY_SQL):
         plan = _parallel_plan(par_db, sql)
         _rows, par_ctx = _run(par_db, plan, parallel=True)

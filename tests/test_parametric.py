@@ -108,3 +108,32 @@ class TestStaticRegret:
         near = regrets[0][1] / max(regrets[0][2], 1e-9)
         far = regrets[1][1] / max(regrets[1][2], 1e-9)
         assert far >= near
+
+
+def test_bind_parameter_leaves_other_columns_index_bounds_alone():
+    """Binding ``E.sal < ?`` must not rewrite the seek bound of an index
+    on ``E.emp_no``: the bound ``range=[None, 300)`` used to become
+    ``[None, 50000.0)`` and leak employees 300-499 into the result."""
+    from repro.core.optimizer import Database
+    from repro.core.parametric import bind_parameter
+    from repro.datagen import build_emp_dept
+    from repro.engine.executor import execute
+    from repro.physical.plans import IndexScanP, walk_physical
+
+    db = Database()
+    build_emp_dept(db.catalog, emp_rows=500, dept_rows=10,
+                   rng=random.Random(7))
+    plan = db.optimize(
+        "SELECT E.name FROM Emp E WHERE E.emp_no < 300 AND E.sal < 90000.5"
+    ).physical
+    scans = [op for op in walk_physical(plan) if isinstance(op, IndexScanP)]
+    assert [scan.high for scan in scans] == [300]
+    marker = ParameterMarker(col("E", "sal"), ComparisonOp.LT)
+    bound = bind_parameter(plan, marker, 50000.0, db.catalog)
+    assert [op.high for op in walk_physical(bound)
+            if isinstance(op, IndexScanP)] == [300]
+    _schema, rows = execute(bound, db.catalog)
+    expected = db.sql(
+        "SELECT E.name FROM Emp E WHERE E.emp_no < 300 AND E.sal < 50000.0"
+    ).rows
+    assert sorted(rows) == sorted(expected)

@@ -357,14 +357,10 @@ def test_executor_honors_declared_flags(contract_catalog, name):
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_FLAGS))
-def test_batch_and_legacy_engines_agree(contract_catalog, name):
+def test_batch_and_columnar_engines_agree(contract_catalog, name):
     """Full drains of the same plan through ``execute`` are bit-identical
-    on the row-batch and columnar engines.
-
-    (The name predates the removal of the materializing engine this
-    once compared against; the columnar engine is now the second
-    engine, selected through ``execute`` rather than called directly as
-    in ``test_columnar``.)
+    on the row-batch and columnar engines (the columnar engine selected
+    through ``execute``, not called directly as in ``test_columnar``).
     """
     factory = _factories(contract_catalog)[name]
     plan_a, _ = factory()

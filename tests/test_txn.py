@@ -514,3 +514,260 @@ def test_commit_stats_ignore_other_transactions_in_flight_writes():
     )
     manager.commit(inflight)
     assert db.catalog.stats("Emp").row_count == 22.0
+
+
+# ----------------------------------------------------------------------
+# Incremental index maintenance and commit-time row counts
+# ----------------------------------------------------------------------
+class _Session:
+    """A second client: runs statements on its own thread, because an
+    explicit transaction belongs to the thread that opened it."""
+
+    def __init__(self, db: Database) -> None:
+        import queue
+        import threading
+
+        self._db = db
+        self._jobs: "queue.Queue" = queue.Queue()
+        self._results: "queue.Queue" = queue.Queue()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
+
+    def _loop(self) -> None:
+        while True:
+            text = self._jobs.get()
+            if text is None:
+                return
+            try:
+                self._results.put((True, self._db.sql(text)))
+            except Exception as error:  # handed back to the caller
+                self._results.put((False, error))
+
+    def sql(self, text: str):
+        self._jobs.put(text)
+        ok, value = self._results.get(timeout=30)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._thread.join(timeout=30)
+
+
+def _keyed_db() -> Database:
+    """T(k unique, g, v) with ordered indexes on k and g and hash
+    indexes on k (unique) and g, analyzed."""
+    db = Database()
+    table = db.create_table(
+        "T",
+        [
+            Column("k", ColumnType.INT, nullable=False),
+            Column("g", ColumnType.INT),
+            Column("v", ColumnType.INT),
+        ],
+    )
+    table.insert_many(
+        [(k, k % 7 if k % 11 else None, k * 3) for k in range(1, 121)]
+    )
+    db.create_index("idx_t_k", "T", ["k"], unique=True)
+    db.create_index("idx_t_g", "T", ["g"])
+    db.catalog.create_hash_index("hidx_t_k", "T", ["k"], unique=True)
+    db.catalog.create_hash_index("hidx_t_g", "T", ["g"])
+    db.analyze()
+    return db
+
+
+def _assert_quiescent_invariants(db: Database) -> None:
+    """Every index equals a fresh build of its table, the statistics'
+    row count is the live row count, and a live key still violates the
+    unique indexes."""
+    from repro.errors import StorageError
+    from repro.storage.index import HashIndex, OrderedIndex
+
+    assert not db.txn_manager.active
+    table = db.catalog.table("T")
+    assert table.is_flat, "a quiescent vacuum left version metadata"
+    for index in db.catalog.indexes_on("T"):
+        fresh = OrderedIndex(index.definition, table)
+        assert list(index.ordered_entries()) == list(fresh.ordered_entries()), (
+            f"{index.definition.name} drifted from a fresh build"
+        )
+    for index in db.catalog.hash_indexes_on("T"):
+        fresh = HashIndex(index.definition, table)
+        assert index._buckets == fresh._buckets, (
+            f"{index.definition.name} drifted from a fresh build"
+        )
+    live = sum(1 for _ in table.visible_rows(None))
+    assert db.catalog.stats("T").row_count == live
+    if live:
+        key = table.rows()[len(table.rows()) // 2][0]
+        with pytest.raises(StorageError):
+            db.sql(f"INSERT INTO T (k, g, v) VALUES ({key}, 1, 1)")
+        assert not db.txn_manager.active
+
+
+def _random_statement(rng) -> str:
+    kind = rng.choice(
+        ["insert", "insert", "update_key", "update_k", "update_range",
+         "update_scan", "delete_key", "delete_group", "delete_range"]
+    )
+    k = rng.randint(1, 200)
+    if kind == "insert":
+        g = rng.choice([None, rng.randint(0, 9)])
+        return (f"INSERT INTO T (k, g, v) VALUES "
+                f"({k}, {'NULL' if g is None else g}, {rng.randint(0, 99)})")
+    if kind == "update_key":
+        return f"UPDATE T SET g = {rng.randint(0, 9)}, v = v + 1 WHERE k = {k}"
+    if kind == "update_k":
+        # Moves a key; collides (a statement rollback) when k+1 is live.
+        return f"UPDATE T SET k = k + 1 WHERE k >= {k} AND k < {k + 3}"
+    if kind == "update_range":
+        return f"UPDATE T SET v = v * 2 WHERE k BETWEEN {k} AND {k + 9}"
+    if kind == "update_scan":
+        return f"UPDATE T SET g = NULL WHERE v = {rng.randint(0, 99)}"
+    if kind == "delete_key":
+        return f"DELETE FROM T WHERE k = {k}"
+    if kind == "delete_group":
+        return f"DELETE FROM T WHERE g = {rng.randint(0, 9)} AND k > {k}"
+    return f"DELETE FROM T WHERE k > {k} AND k <= {k + 4}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_indexes_and_row_counts_stay_exact_through_seeded_dml(seed):
+    """Seeded scripts of autocommit writes, explicit transactions that
+    commit or roll back, failed statements inside them, write-write
+    conflicts with a second session, and crash()+recover(); after every
+    quiescent point the incrementally maintained indexes and row counts
+    must equal what a rebuild and a recount give."""
+    import random
+
+    from repro.errors import StorageError
+
+    rng = random.Random(seed)
+    db = _keyed_db()
+    other = _Session(db)
+    expected = (StorageError, SerializationError)
+    try:
+        for _step in range(90):
+            roll = rng.random()
+            if roll < 0.55:
+                try:
+                    db.sql(_random_statement(rng))
+                except expected:
+                    pass
+            elif roll < 0.8:
+                db.sql("BEGIN")
+                try:
+                    for _ in range(rng.randint(1, 4)):
+                        try:
+                            db.sql(_random_statement(rng))
+                        except StorageError:
+                            pass  # statement rollback; txn stays open
+                    db.sql("COMMIT" if rng.random() < 0.6 else "ROLLBACK")
+                except SerializationError:
+                    pass
+            elif roll < 0.93:
+                k = rng.choice(db.catalog.table("T").rows())[0]
+                other.sql("BEGIN")
+                other.sql(f"UPDATE T SET v = -1 WHERE k = {k}")
+                with pytest.raises(SerializationError):
+                    db.sql(f"DELETE FROM T WHERE k = {k}")
+                other.sql("COMMIT" if rng.random() < 0.5 else "ROLLBACK")
+            else:
+                other.sql("BEGIN")
+                try:
+                    other.sql(_random_statement(rng))
+                except expected:
+                    pass
+                db.crash()
+                db.recover()
+            _assert_quiescent_invariants(db)
+    finally:
+        other.close()
+
+
+def test_concurrent_commits_never_lose_a_row_count_delta():
+    """Commit hooks of concurrent writers each move the row count; a lost
+    read-modify-write would leave it short of the live count."""
+    import sys
+    import threading
+
+    db = _keyed_db()
+
+    def writer(base: int) -> None:
+        for k in range(base, base + 40):
+            db.sql(f"INSERT INTO T (k, g, v) VALUES ({k}, 1, 1)")
+        for k in range(base, base + 10):
+            db.sql(f"DELETE FROM T WHERE k = {k}")
+
+    threads = [
+        threading.Thread(target=writer, args=(1000 * n,)) for n in range(1, 5)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    db.txn_manager.maybe_vacuum()
+    assert db.catalog.stats("T").row_count == 120 + 4 * 30
+    _assert_quiescent_invariants(db)
+
+
+def test_vacuum_compacts_indexes_and_only_recovery_rebuilds():
+    db = _keyed_db()
+    rebuilt = []
+    original = db.catalog.rebuild_indexes
+    db.catalog.rebuild_indexes = lambda name: (rebuilt.append(name), original(name))
+    db.txn_manager.index_rebuilder = db.catalog.rebuild_indexes
+    table = db.catalog.table("T")
+    keys = [row[0] for row in table.rows()]
+    db.sql("UPDATE T SET v = 0 WHERE k BETWEEN 5 AND 7")
+    assert [row[0] for row in table.rows()] == keys, (
+        "vacuum moved updated rows out of their slots"
+    )
+    db.sql("DELETE FROM T WHERE k BETWEEN 10 AND 20")
+    assert rebuilt == [], "vacuum re-sorted indexes instead of compacting"
+    _assert_quiescent_invariants(db)
+    db.crash()
+    db.recover()
+    assert rebuilt == ["T"]
+    _assert_quiescent_invariants(db)
+
+
+def test_keyed_writes_read_their_matches_not_the_table():
+    """UPDATE/DELETE whose predicate binds an index's leading column seek
+    it: no sequential pass over the heap, one data page per match."""
+    db = _keyed_db()
+    table = db.catalog.table("T")
+    db.sql("INSERT INTO T (k, g, v) SELECT T.k + 1000, T.g, T.v FROM T T")
+    db.sql("INSERT INTO T (k, g, v) SELECT T.k + 2000, T.g, T.v FROM T T")
+    db.sql("INSERT INTO T (k, g, v) SELECT T.k + 4000, T.g, T.v FROM T T")
+    assert table.page_count >= 3
+    for text in ("UPDATE T SET v = 0 WHERE k = 60",
+                 "DELETE FROM T WHERE k > 2050 AND k <= 2052"):
+        counters = db.sql(text).context.counters
+        assert counters.seq_page_reads == 0, text
+        assert counters.random_page_reads <= 4, text
+    assert db.sql("SELECT T.v FROM T T WHERE T.k = 60").rows == [(0,)]
+    assert db.sql("SELECT COUNT(*) FROM T T WHERE T.k > 2050").rows == [(668,)]
+    _assert_quiescent_invariants(db)
+
+
+def test_analyze_inside_a_transaction_counts_committed_rows_only():
+    """ANALYZE is the base commit-time deltas move: rows a still-open
+    transaction wrote must not be in it, or its commit counts them twice."""
+    db = _keyed_db()
+    db.sql("BEGIN")
+    db.sql("INSERT INTO T (k, g, v) VALUES (500, 1, 1), (501, 1, 1)")
+    db.sql("DELETE FROM T WHERE k <= 3")
+    db.analyze()
+    assert db.catalog.stats("T").row_count == 120
+    db.sql("COMMIT")
+    _assert_quiescent_invariants(db)
+    assert db.catalog.stats("T").row_count == 119
