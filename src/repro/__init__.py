@@ -44,7 +44,6 @@ from repro.engine.governor import (
     QueryBudget,
     RetryPolicy,
 )
-from repro.engine.parallel import plan_parallel_regions
 from repro.engine.runtime_stats import RuntimeStats, render_explain_analyze
 from repro.errors import SerializationError, TransactionError
 from repro.storage.faults import FaultConfig, FaultInjector
@@ -82,7 +81,6 @@ __all__ = [
     "TransactionError",
     "TransactionManager",
     "WriteAheadLog",
-    "plan_parallel_regions",
     "render_explain_analyze",
     "__version__",
 ]

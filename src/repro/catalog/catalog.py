@@ -7,6 +7,7 @@ data: schemas, access paths (Section 3), statistical summaries
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, ColumnType, IndexDef, TableSchema
@@ -36,6 +37,12 @@ class Catalog:
         # repro.stats.summaries.TableStats, stored untyped to keep the
         # catalog free of a dependency on the stats package.
         self._stats: Dict[str, Any] = {}
+        # Held by every writer of a table's row count: ANALYZE's count of
+        # committed rows and its publication, and (wired by the Database
+        # as the transaction manager's publish lock) a commit leaving the
+        # active set together with its row-count move.  ANALYZE thus sees
+        # each commit either counted or moved by its delta, never both.
+        self.stats_lock = threading.RLock()
         # Materialized view descriptors (repro.core.matviews objects).
         self._materialized_views: Dict[str, Any] = {}
         # Monotonic schema/statistics version.  Every DDL change and

@@ -120,8 +120,6 @@ class Optimizer:
         use_materialized_views: bool = True,
         feedback: Optional[CardinalityFeedback] = None,
         adaptive: Optional[AdaptiveConfig] = None,
-        parallel_mode: bool = False,
-        max_dop: int = 4,
     ) -> None:
         self.catalog = catalog
         self.params = params
@@ -136,8 +134,6 @@ class Optimizer:
             config,
             feedback=feedback,
             adaptive=adaptive,
-            parallel_mode=parallel_mode,
-            max_dop=max_dop,
         )
         self.use_materialized_views = use_materialized_views
 
@@ -430,8 +426,6 @@ class Database:
         use_feedback: bool = True,
         adaptive: Optional[AdaptiveConfig] = None,
         columnar_mode: bool = False,
-        parallel_mode: bool = False,
-        max_dop: int = 4,
         admission: Optional[
             "AdmissionConfig | AdmissionController"
         ] = None,
@@ -458,12 +452,6 @@ class Database:
         self.columnar_mode = columnar_mode
         if columnar_mode:
             self.params = params.with_overrides(columnar_execution=True)
-        # Intra-query parallelism: the physicalizer places exchange/
-        # gather regions (see repro.core.parallel.placement) and the
-        # engines fan them out across a worker pool.  Off by default;
-        # parallel_mode=False is the bit-identical serial oracle.
-        self.parallel_mode = parallel_mode
-        self.max_dop = max(1, int(max_dop))
         # Server-wide admission control.  Pass an AdmissionConfig to
         # build a controller owned by this Database, or share one
         # AdmissionController across databases; None (the default)
@@ -478,14 +466,13 @@ class Database:
         self._plan_failures: Dict[PlanCacheKey, int] = {}
         self._conservative_keys: Set[PlanCacheKey] = set()
         # Transactional state.  The manager (txid allocation, WAL, MVCC
-        # lifecycle) is created lazily at the first DML/BEGIN so purely
-        # read-only databases pay nothing; the open explicit transaction
-        # is per-thread -- each worker thread is one session.
+        # lifecycle) is created lazily at the first statement; tables stay
+        # flat (no version metadata) until the first write.  The open
+        # explicit transaction is per-thread -- each worker thread is
+        # one session.
         self._txn_manager: Optional[TransactionManager] = None
         self._txn_manager_lock = threading.Lock()
         self._sessions = threading.local()
-        # Serializes commit hooks' row-count moves on table statistics.
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Schema management
@@ -548,8 +535,6 @@ class Database:
             use_rewrites=self.use_rewrites,
             feedback=self.feedback,
             adaptive=self.adaptive,
-            parallel_mode=self.parallel_mode,
-            max_dop=self.max_dop,
         )
 
     def optimize(self, sql: str) -> OptimizedQuery:
@@ -622,10 +607,33 @@ class Database:
                     manager = TransactionManager()
                     manager.index_compactor = self.catalog.compact_indexes
                     manager.index_rebuilder = self.catalog.rebuild_indexes
+                    manager.publish_lock = self.catalog.stats_lock
+                    manager.publish_hook = self._move_row_counts
                     manager.commit_hooks.append(self._on_commit)
                     manager.recovery_hooks.append(self._on_recovery)
                     self._txn_manager = manager
         return self._txn_manager
+
+    def _move_row_counts(self, txn: Transaction) -> None:
+        """Move each written table's statistics row count by the
+        transaction's net inserted-minus-deleted rows -- no count of the
+        table and no full re-ANALYZE on the write path (column
+        distributions refresh at the next ANALYZE).
+
+        Runs as the manager's publish hook: under the catalog's
+        statistics lock, in the same critical section in which the
+        commit leaves the active set.  ANALYZE counts committed rows
+        under that lock too, so it sees a commit either counted or
+        moved by its delta, never both, and concurrent commits never
+        lose each other's deltas.
+        """
+        for name, delta in txn.net_rows().items():
+            stats = self.catalog.stats(name)
+            if delta and stats is not None:
+                self.catalog.set_stats(
+                    name,
+                    replace(stats, row_count=max(0.0, stats.row_count + delta)),
+                )
 
     def _on_commit(self, txn: Transaction) -> None:
         """Commit-time invalidation: runs once per writing commit.
@@ -633,26 +641,11 @@ class Database:
         * catalog version bumps, so every cached plan (costed against
           pre-commit statistics and contents) misses on next lookup;
         * cardinality feedback learned against the old contents of each
-          written table is dropped;
-        * table statistics, when present, have their row counts moved by
-          the transaction's net inserted-minus-deleted rows -- no count
-          of the table and no full re-ANALYZE on the write path (column
-          distributions refresh at the next ANALYZE).  The move is one
-          locked read-modify-write, so concurrent commits never lose
-          each other's deltas.
+          written table is dropped.
         """
-        for name, delta in txn.net_rows().items():
-            if self.feedback is not None:
+        if self.feedback is not None:
+            for name in txn.written:
                 self.feedback.invalidate_table(name)
-            if not delta:
-                continue
-            with self._stats_lock:
-                stats = self.catalog.stats(name)
-                if stats is not None:
-                    self.catalog.set_stats(
-                        name,
-                        replace(stats, row_count=max(0.0, stats.row_count + delta)),
-                    )
         self.catalog._bump_version()
 
     def _on_recovery(self, rebuilt: List[str]) -> None:
@@ -660,7 +653,7 @@ class Database:
         replaced, so cached plans go and their row counts are re-read
         from the flat heaps."""
         self.plan_cache.clear()
-        with self._stats_lock:
+        with self.catalog.stats_lock:
             for name in rebuilt:
                 stats = self.catalog.stats(name)
                 if stats is not None:
@@ -793,16 +786,13 @@ class Database:
     def _pin_read_snapshot(self, context: ExecContext):
         """Give one read-only execution a consistent snapshot.
 
-        No-op (returns an idle release) until the first DML creates the
-        manager: with no versions in flight, reading latest state *is*
-        the snapshot, and flat tables keep their zero-overhead paths.
         Inside an explicit transaction the statement reads through the
         transaction's own snapshot; otherwise a fresh snapshot is pinned
         for exactly this execution (blocking vacuum while it runs).
+        Reads pin even before the database's first write, which another
+        thread may start and commit while this read is mid-scan.
         """
-        manager = self._txn_manager
-        if manager is None:
-            return lambda: None
+        manager = self.txn_manager
         txn = self._session_txn()
         if txn is not None:
             context.txn = txn
@@ -901,8 +891,6 @@ class Database:
         context.fault_injector = self.fault_injector
         context.feedback = self.feedback
         context.columnar_mode = self.columnar_mode
-        context.parallel_mode = self.parallel_mode
-        context.max_dop = self.max_dop
         context.admission = self.admission
         if self.adaptive is not None and self.adaptive.enabled:
             context.adaptive = AdaptiveState(self.adaptive)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cost.parameters import DEFAULT_PARAMETERS, CostParameters
-
 
 @dataclass(frozen=True)
 class ParallelMachine:

@@ -148,9 +148,9 @@ def schedule_plan(
             right_key = _canonical(list(op.right_keys))
             for child, need in ((op.left, left_key), (op.right, right_key)):
                 if delivered.get(id(child)) != need:
-                    # Typed stream width, not a guessed constant: the
-                    # simulated exchange must move the same pages the
-                    # real exchange runtime measures on this plan.
+                    # Typed stream width, not a guessed constant, so
+                    # the simulated exchange moves the pages the
+                    # plan's streams really occupy.
                     width = child.output_schema().row_width_bytes()
                     pages = pages_for_rows(child.est_rows, width, params)
                     cost = machine.repartition_cost(pages)

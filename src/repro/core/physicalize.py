@@ -100,16 +100,12 @@ class Physicalizer:
         config: EnumeratorConfig = EnumeratorConfig(),
         feedback=None,
         adaptive=None,
-        parallel_mode: bool = False,
-        max_dop: int = 4,
     ) -> None:
         self.catalog = catalog
         self.params = params
         self.config = config
         self.feedback = feedback
         self.adaptive = adaptive
-        self.parallel_mode = parallel_mode
-        self.max_dop = max_dop
 
     # ------------------------------------------------------------------
     def plan_query(
@@ -128,14 +124,6 @@ class Physicalizer:
             from repro.engine.adaptive import insert_checks
 
             plan = insert_checks(plan, self.catalog, self.params, self.adaptive)
-        if self.parallel_mode and self.max_dop > 1:
-            # Phase two of two-phase optimization, for real: place
-            # exchange/gather regions where the machine model's
-            # response time beats the serial plan.  Runs after CHECK
-            # insertion so regions never swallow a CHECK operator.
-            from repro.core.parallel.placement import place_exchanges
-
-            plan = place_exchanges(plan, self.params, self.max_dop)
         return plan
 
     # ------------------------------------------------------------------

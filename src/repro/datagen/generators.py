@@ -37,7 +37,6 @@ def build_emp_dept(
     emp_rows: int = 2000,
     dept_rows: int = 100,
     rng: Optional[random.Random] = None,
-    with_indexes: bool = True,
     analyze: bool = True,
     null_fraction: float = 0.0,
 ) -> Tuple[TableStats, TableStats]:
@@ -112,10 +111,9 @@ def build_emp_dept(
                 nullable(rng.randint(21, 65)),
             )
         )
-    if with_indexes:
-        catalog.create_index("idx_dept_pk", "Dept", ["dept_no"], clustered=True, unique=True)
-        catalog.create_index("idx_emp_pk", "Emp", ["emp_no"], clustered=True, unique=True)
-        catalog.create_index("idx_emp_dept", "Emp", ["dept_no"])
+    catalog.create_index("idx_dept_pk", "Dept", ["dept_no"], clustered=True, unique=True)
+    catalog.create_index("idx_emp_pk", "Emp", ["emp_no"], clustered=True, unique=True)
+    catalog.create_index("idx_emp_dept", "Emp", ["dept_no"])
     if analyze:
         return analyze_table(catalog, "Emp"), analyze_table(catalog, "Dept")
     return (
@@ -135,14 +133,11 @@ def build_star_schema(
     rng: Optional[random.Random] = None,
     skew: float = 0.0,
     analyze: bool = True,
-    with_indexes: bool = True,
 ) -> Dict[str, TableStats]:
     """A fact table ``Sales`` plus ``dimension_count`` dimension tables.
 
     Sales(sale_id, d1_id..dk_id, amount, quantity); each Dim_i(id, attr,
     category).  Fact foreign keys may be Zipf-skewed.
-    ``with_indexes=False`` skips every index (as in
-    :func:`build_emp_dept`), forcing hash-join access paths.
 
     Returns:
         Stats per table name (when ``analyze``), else an empty dict.
@@ -169,10 +164,9 @@ def build_star_schema(
                     rng.choice(["gold", "silver", "bronze"]),
                 )
             )
-        if with_indexes:
-            catalog.create_index(
-                f"idx_dim{number}_pk", name, ["id"], clustered=True, unique=True
-            )
+        catalog.create_index(
+            f"idx_dim{number}_pk", name, ["id"], clustered=True, unique=True
+        )
         dims.append(name)
     fact_columns = [Column("sale_id", ColumnType.INT, nullable=False)]
     fact_columns.extend(
@@ -194,11 +188,8 @@ def build_star_schema(
         row.append(rng.uniform(1.0, 1000.0))
         row.append(rng.randint(1, 20))
         fact.insert(tuple(row))
-    if with_indexes:
-        for number in range(1, dimension_count + 1):
-            catalog.create_index(
-                f"idx_sales_d{number}", "Sales", [f"d{number}_id"]
-            )
+    for number in range(1, dimension_count + 1):
+        catalog.create_index(f"idx_sales_d{number}", "Sales", [f"d{number}_id"])
     if analyze:
         stats = {name: analyze_table(catalog, name) for name in dims}
         stats["Sales"] = analyze_table(catalog, "Sales")

@@ -9,7 +9,7 @@ Batches are :class:`ColumnarBatch` objects -- one
 :class:`~repro.expr.vector.VColumn` (numpy values + boolean validity
 mask) per output slot -- instead of lists of row tuples.  Operators
 with a profitable whole-batch form (scan, filter, project, limit,
-hash join, hash/stream aggregate, union, exchange, sort, distinct) have
+hash join, hash/stream aggregate, union, sort, distinct) have
 columnar handlers; everything else (index scans, the three row-centric
 joins, Apply, CHECK, UDF filters) *bridges*: the operator and its
 subtree run on the row-batch engine and its output batches are
@@ -48,9 +48,7 @@ from repro.expr.vector import VColumn, compile_vector, compile_vector_predicate
 from repro.logical.operators import JoinKind
 from repro.physical.plans import (
     DistinctP,
-    ExchangeP,
     FilterP,
-    GatherP,
     HashAggP,
     HashJoinP,
     LimitP,
@@ -61,7 +59,6 @@ from repro.physical.plans import (
     StreamAggP,
     UnionAllP,
 )
-from repro.physical.properties import PartitionScheme
 
 Row = Tuple[Any, ...]
 
@@ -250,6 +247,12 @@ def _table_columns(
     snapshot and never cache it: visibility is per-snapshot, and the
     version counter does not move for uncommitted writes.
     """
+    # Version and row count are read before the flatness check, as in
+    # HeapTable.visible_rows: rows a writer appends meanwhile are not in
+    # the image, and a commit meanwhile leaves it tagged stale.
+    version = table.data_version
+    rows = table.rows()
+    n = len(rows)
     if not table.is_flat:
         rows = [row for _row_id, row in table.visible_rows(snapshot)]
         n = len(rows)
@@ -260,12 +263,10 @@ def _table_columns(
             ],
             n,
         )
-    version = table.data_version
     cached = table.runtime_cache.get("columnar")
     if cached is not None and cached[0] == version:
-        return cached[1], table.row_count
-    rows = table.rows()
-    n = len(rows)
+        return cached[1], n
+    rows = rows[:n]
     vcolumns = [
         _ingest_column([row[j] for row in rows], schema.type_at(j), n)
         for j in range(schema.arity)
@@ -509,69 +510,6 @@ def _cstream_union_all(
                 yield cbatch
         finally:
             child.close()
-
-
-def _cdrain_exchange_input(
-    ex: ExchangeP, catalog: Catalog, ctx: ExecContext
-) -> Tuple[List[Row], Optional[np.ndarray]]:
-    """Drain one distributing exchange's child columnar for stage 1.
-
-    Hash exchanges get their partition hashes computed *vectorized*
-    over the key columns (the shared kernel in
-    :mod:`repro.expr.vector`); the runtime then assigns partitions by
-    ``hash %% dop``, landing each key on the same worker the row
-    engine's scalar hash would pick.
-    """
-    from repro.expr.vector import hash_columns
-
-    cbatch = _cdrain(ex.child, catalog, ctx)
-    hashes: Optional[np.ndarray] = None
-    positions = getattr(ex, "key_positions", None)
-    if ex.target.scheme is PartitionScheme.HASH and positions:
-        hashes = hash_columns(
-            [
-                (cbatch.vcolumns[p].values, cbatch.vcolumns[p].valid)
-                for p in positions
-            ]
-        )
-    return cbatch.rows(), hashes
-
-
-def _cstream_exchange(
-    op: ExchangeP, catalog: Catalog, ctx: ExecContext
-) -> Iterator[ColumnarBatch]:
-    from repro.engine.parallel import exchange_page_count, gather_iterator
-
-    if isinstance(op, GatherP) and ctx.parallel_mode and op.dop > 1:
-        # Fan the region below this gather out across the shared worker
-        # pool; sources are drained columnar (vectorized partition
-        # hashing), workers run the row twins, and the merged output is
-        # re-columnarized here.  Falls through to the serial
-        # pass-through when the region shape is unsupported or
-        # admission degraded it to one worker.
-        region = gather_iterator(
-            op,
-            catalog,
-            ctx,
-            lambda ex: _cdrain_exchange_input(ex, catalog, ctx),
-        )
-        if region is not None:
-            schema = op.output_schema()
-            for rows in region:
-                yield ColumnarBatch.from_rows(rows, schema)
-            return
-    width = op.child.output_schema().row_width_bytes()
-    total = 0
-    child = stream_columns(op.child, catalog, ctx)
-    try:
-        for cbatch in child:
-            total += cbatch.length
-            yield cbatch
-    finally:
-        child.close()
-        ctx.counters.exchange_pages += exchange_page_count(
-            total, width, op.target.scheme, op.target.degree, ctx.params
-        )
 
 
 def _cstream_sort(
@@ -1112,8 +1050,6 @@ _COLUMNAR_HANDLERS = {
     ProjectP: _cstream_project,
     LimitP: _cstream_limit,
     UnionAllP: _cstream_union_all,
-    ExchangeP: _cstream_exchange,
-    GatherP: _cstream_exchange,
     SortP: _cstream_sort,
     DistinctP: _cstream_distinct,
     HashJoinP: _cstream_hash_join,

@@ -80,7 +80,6 @@ class ExecCounters:
     rows_compared: int = 0
     sort_spill_pages: int = 0
     udf_invocations: int = 0
-    exchange_pages: int = 0
     inner_evaluations: int = 0
     # Fault-tolerance accounting: transient-fault retries performed, the
     # (deterministic) backoff the retry schedule accrued, and how many
@@ -101,29 +100,6 @@ class ExecCounters:
         """All physical page reads (buffer misses)."""
         return self.seq_page_reads + self.random_page_reads
 
-    def merge_from(self, other: "ExecCounters") -> None:
-        """Fold another counter shard into this one (field-wise add).
-
-        The parallel runtime gives every worker its own shard and merges
-        them here in partition-index order at gather time, so totals are
-        identical run to run regardless of worker interleaving.
-        """
-        self.seq_page_reads += other.seq_page_reads
-        self.random_page_reads += other.random_page_reads
-        self.rows_produced += other.rows_produced
-        self.rows_compared += other.rows_compared
-        self.sort_spill_pages += other.sort_spill_pages
-        self.udf_invocations += other.udf_invocations
-        self.exchange_pages += other.exchange_pages
-        self.inner_evaluations += other.inner_evaluations
-        self.retries += other.retries
-        self.retry_backoff_seconds += other.retry_backoff_seconds
-        self.degraded_operators += other.degraded_operators
-        self.breaker_fast_fails += other.breaker_fast_fails
-        self.rows_written += other.rows_written
-        self.pages_written += other.pages_written
-        self.wal_appends += other.wal_appends
-
     def observed_cost(self, params: CostParameters) -> float:
         """Collapse the counters into the cost model's metric.
 
@@ -136,7 +112,6 @@ class ExecCounters:
             + self.rows_produced * params.cpu_tuple_cost
             + self.rows_compared * params.cpu_operator_cost
             + self.sort_spill_pages * params.seq_page_cost
-            + self.exchange_pages * params.comm_cost_per_page
         )
 
 
@@ -186,23 +161,16 @@ class ExecContext:
         # checkpointed intermediates); None runs the plan statically.
         self.adaptive: Optional["AdaptiveState"] = None
         self.columnar_mode: bool = False
-        # Intra-query parallelism: when True, Gather operators placed by
-        # the optimizer fan their region out across a worker-thread pool
-        # (repro.engine.parallel); False executes the same plan serially
-        # with exchanges as accounting pass-throughs -- the differential
-        # oracle, same pattern as columnar_mode.  max_dop
-        # caps the degree any single region may use.
-        self.parallel_mode: bool = False
-        self.max_dop: int = 4
         # Server-wide admission control: when present, storage accesses
         # run behind its circuit breaker and retries draw from its
         # global token bucket; queue_wait_seconds records how long this
         # query sat in the admission queue before executing.
         self.admission: Optional["AdmissionController"] = None
         self.queue_wait_seconds: float = 0.0
-        # MVCC: the snapshot every scan reads through (None = read
-        # latest committed, the legacy direct-execute behaviour) and the
-        # transaction DML statements write under.
+        # MVCC: the snapshot every scan reads through and the
+        # transaction DML statements write under.  None reads the latest
+        # committed versions: the case for a database that has never
+        # written and for ``execute`` called outside a Database.
         self.snapshot: Optional[Any] = None
         self.txn: Optional[Any] = None
 

@@ -52,9 +52,7 @@ from repro.physical.plans import (
     CheckP,
     CheckpointSourceP,
     DistinctP,
-    ExchangeP,
     FilterP,
-    GatherP,
     HashAggP,
     HashJoinP,
     INLJoinP,
@@ -198,7 +196,7 @@ def _plan_has_limit(plan: PhysicalOp) -> bool:
 
 
 # ======================================================================
-# Shared row helpers (also imported by the columnar and parallel engines)
+# Shared row helpers (also imported by the columnar engine)
 # ======================================================================
 def _row_width(schema: StreamSchema) -> float:
     """Modelled bytes per row of a stream, from slot types where known."""
@@ -1029,7 +1027,7 @@ def _stream_hash_join(
 
 
 # ----------------------------------------------------------------------
-# Streaming aggregation, distinct, union, apply, exchange
+# Streaming aggregation, distinct, union, apply
 # ----------------------------------------------------------------------
 def _aggregate_rows(
     op: HashAggP, rows: List[Row], schema: StreamSchema, ctx: ExecContext
@@ -1205,41 +1203,6 @@ def _stream_apply(
         child.close()
 
 
-def _stream_exchange(
-    op: ExchangeP, catalog: Catalog, ctx: ExecContext
-) -> Iterator[Batch]:
-    from repro.engine.parallel import exchange_page_count, gather_iterator
-
-    if isinstance(op, GatherP) and ctx.parallel_mode and op.dop > 1:
-        # The real thing: fan the region below this gather out across a
-        # worker pool and merge deterministically.  Falls through to the
-        # serial pass-through when the region shape is unsupported or
-        # admission degraded it to one worker.
-        region = gather_iterator(
-            op, catalog, ctx, lambda ex: (_drain(ex.child, catalog, ctx), None)
-        )
-        if region is not None:
-            yield from region
-            return
-    width = _row_width(op.child.output_schema())
-    total = 0
-    child = stream_batches(op.child, catalog, ctx)
-    try:
-        for batch in child:
-            total += len(batch)
-            yield batch
-    finally:
-        child.close()
-        # Charged in the finally so an early-closed consumer (LIMIT) still
-        # pays communication for every batch that actually crossed.  The
-        # scheme-aware page count is shared with the parallel runtime, so
-        # this simulated account and the real exchange's measured pages
-        # agree on the same plan.
-        ctx.counters.exchange_pages += exchange_page_count(
-            total, width, op.target.scheme, op.target.degree, ctx.params
-        )
-
-
 _STREAM_HANDLERS = {
     CheckP: _stream_check,
     CheckpointSourceP: _stream_checkpoint_source,
@@ -1260,8 +1223,6 @@ _STREAM_HANDLERS = {
     UnionAllP: _stream_union_all,
     LimitP: _stream_limit,
     ApplyP: _stream_apply,
-    ExchangeP: _stream_exchange,
-    GatherP: _stream_exchange,
 }
 
 

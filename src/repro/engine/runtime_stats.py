@@ -22,30 +22,6 @@ from repro.physical.plans import PhysicalOp
 
 
 @dataclass
-class PartitionStats:
-    """Observed work of one worker partition of a parallel region.
-
-    Attached to the region's Gather operator so EXPLAIN ANALYZE can
-    surface the two-phase optimizer's response-time split (work/p +
-    comm + startup) against reality: per-partition rows expose skew,
-    ``queue_wait_seconds`` is time the partition spent blocked on its
-    bounded output queue (worker-side backpressure plus driver-side
-    merge wait), and ``degraded`` marks partitions whose build side
-    fell back to Grace-style sub-partitioning.
-    """
-
-    index: int
-    rows: int = 0
-    wall_seconds: float = 0.0
-    queue_wait_seconds: float = 0.0
-    degraded: bool = False
-    # The partition's measured work in cost-model units (the worker
-    # counter shard priced by CostParameters): max over partitions is
-    # the measured ``work/p`` term of the response-time model.
-    work_cost: float = 0.0
-
-
-@dataclass
 class OpRuntimeStats:
     """Observed work of one physical operator during one execution.
 
@@ -69,8 +45,6 @@ class OpRuntimeStats:
         peak_resident_rows: high-water mark of rows this operator held
             resident at once -- a batch for streaming operators, the
             materialized input (or build side) for pipeline breakers.
-        partitions: per-partition stats when this operator is the
-            Gather of a parallel region, else None.
     """
 
     label: str
@@ -84,7 +58,6 @@ class OpRuntimeStats:
     check_fired: bool = False
     from_checkpoint: bool = False
     peak_resident_rows: int = 0
-    partitions: Optional[List[PartitionStats]] = None
 
     @property
     def q_error(self) -> float:
@@ -178,26 +151,6 @@ def render_explain_analyze(
                 f"pages={node.pages_read} "
                 f"peak_rows={node.peak_resident_rows}{flag}]"
             )
-            if node.partitions:
-                parts = node.partitions
-                rows = [p.rows for p in parts]
-                low, high = min(rows), max(rows)
-                mean = sum(rows) / len(rows)
-                # Skew as max/mean: 1.00 is a perfectly even split; the
-                # response-time model's work/p term assumes it.
-                skew = (high / mean) if mean > 0 else 1.0
-                wait = sum(p.queue_wait_seconds for p in parts)
-                work = [p.work_cost for p in parts]
-                detail = (
-                    f"{pad}  partitions={len(parts)} "
-                    f"rows/part={low}..{high} skew={skew:.2f} "
-                    f"work/part={min(work):.1f}..{max(work):.1f} "
-                    f"queue_wait={wait * 1000.0:.3f}ms"
-                )
-                degraded_parts = sum(1 for p in parts if p.degraded)
-                if degraded_parts:
-                    detail += f" degraded_parts={degraded_parts}"
-                lines.append(detail)
         for child in op.children():
             visit(child, indent + 1)
 

@@ -520,19 +520,16 @@ def compile_vector_predicate(
 
 
 # ----------------------------------------------------------------------
-# Canonical key hashing (shared by the partitioned-parallel runtime and
-# the columnar hash-join probe)
+# Canonical key hashing (the columnar hash-join build and probe)
 # ----------------------------------------------------------------------
 # One 64-bit value hash with a single invariant: numerically equal key
 # values hash equal regardless of representation -- int 2, float 2.0,
 # and bool-as-int lanes agree; every NaN (including the executor's
 # shared ``_NAN_KEY`` sentinel, which *is* a NaN) maps to one constant;
-# NULL maps to another.  The scalar path (:func:`hash_value` /
-# :func:`hash_key`) and the vectorized path (:func:`hash_column` /
-# :func:`hash_columns`) produce bit-identical results lane for lane, so
-# a query may mix them freely: both sides of a repartitioned join agree
-# on partition assignment even when one side hashed vectorized and the
-# other fell back to per-row hashing.
+# NULL maps to another.  Numeric columns hash vectorized and object
+# columns lane by lane through :func:`hash_value`, with bit-identical
+# results, so a build side and a probe side of different dtypes still
+# agree on every key.
 #
 # The mixer is the splitmix64 finalizer; numpy uint64 arithmetic wraps
 # silently, matching the explicitly masked Python-int arithmetic.
@@ -579,14 +576,6 @@ def hash_value(value: Any) -> int:
         bits = np.float64(value).view(np.uint64)
         return _mix64(int(bits))
     return _mix64(hash(value) & _MASK64)
-
-
-def hash_key(values: Sequence[Any]) -> int:
-    """The canonical hash of a multi-part key (matches hash_columns)."""
-    h = _HASH_SEED
-    for value in values:
-        h = _mix64(((h + _HASH_GOLDEN) & _MASK64) ^ hash_value(value))
-    return h
 
 
 def hash_column(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -636,7 +625,8 @@ def hash_column(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def hash_columns(columns: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Combined per-row hashes over (values, valid) key columns.
 
-    Bit-identical to ``[hash_key(row_values) for row in rows]``.
+    Each row folds its per-column :func:`hash_column` lanes into one
+    value, seeded and mixed so column order matters.
     """
     if not columns:
         return np.zeros(0, dtype=np.uint64)

@@ -17,12 +17,7 @@ from repro.expr.aggregates import AggregateCall
 from repro.expr.expressions import ColumnRef, Expr, UdfCall
 from repro.expr.schema import StreamSchema
 from repro.logical.operators import LogicalOp, ProjectItem
-from repro.physical.properties import (
-    Partitioning,
-    PartitionScheme,
-    SortOrder,
-    describe_order,
-)
+from repro.physical.properties import SortOrder, describe_order
 
 
 class PhysicalOp:
@@ -32,7 +27,6 @@ class PhysicalOp:
         est_rows: estimated output cardinality (logical property).
         est_cost: cumulative estimated cost of the subtree.
         order: delivered sort order, if any (physical property).
-        partitioning: delivered partitioning, if any (parallel plans).
         feedback_fingerprint: normalized key of the predicate this
             operator applies (stamped by the plan builders), letting the
             cardinality-feedback harvest attribute observed row counts
@@ -44,7 +38,6 @@ class PhysicalOp:
         self.est_rows: float = 0.0
         self.est_cost: Cost = ZERO_COST
         self.order: Optional[SortOrder] = None
-        self.partitioning: Optional[Partitioning] = None
         self.feedback_fingerprint: Optional[str] = None
         # Worst-case subtree cost over the estimate's uncertainty interval
         # (risk-aware selection); None when the enumerator did not compute
@@ -649,58 +642,6 @@ class ApplyP(PhysicalOp):
 
     def _label(self) -> str:
         return f"Apply[{self.kind}]"
-
-
-class ExchangeP(PhysicalOp):
-    """Repartition/ship a stream between processors (Section 7.1).
-
-    In the single-node executor this is a pass-through that accounts for
-    communication; the parallel cost model prices it.
-    """
-
-    def __init__(self, child: PhysicalOp, partitioning: Partitioning) -> None:
-        super().__init__()
-        self.child = child
-        self.target = partitioning
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    @property
-    def consumes_child_fully(self) -> Tuple[bool, ...]:
-        return (False,)
-
-    def output_schema(self) -> StreamSchema:
-        return self.child.output_schema()
-
-    def _label(self) -> str:
-        return f"Exchange({self.target.scheme.value} x{self.target.degree})"
-
-
-class GatherP(ExchangeP):
-    """Gather a partitioned region back into one stream (Section 7.1).
-
-    The root of a parallel region: the subtree between this gather and
-    the distributing :class:`ExchangeP` operators below it runs across
-    ``dop`` worker threads, and the gather merges their outputs back
-    into the serial stream order (deterministic, bit-identical to the
-    single-threaded oracle).  With ``parallel_mode`` off the region is
-    executed serially and the exchanges only account for simulated
-    communication pages, preserving the oracle pattern of
-    ``columnar_mode``.
-    """
-
-    def __init__(self, child: PhysicalOp, dop: int) -> None:
-        super().__init__(
-            child, Partitioning(PartitionScheme.SINGLETON, degree=1)
-        )
-        self.dop = dop
-        self.est_rows = child.est_rows
-        self.est_cost = child.est_cost
-        self.order = child.order
-
-    def _label(self) -> str:
-        return f"Gather(dop={self.dop})"
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,6 @@ Meta-commands (backslash-prefixed):
     \\admission priority <class>  set this session's priority (high|normal|low)
     \\columnar           show whether columnar vector kernels are active
     \\columnar on|off    columnar numpy kernels vs row-tuple batches
-    \\parallel           show whether parallel execution is active
-    \\parallel on [dop]  exchange-based parallel execution (default dop 4)
-    \\parallel off       back to the single-threaded oracle
     \\budget             show the current per-query resource budget
     \\reopt              show adaptive re-optimization status and counters
     \\reopt on|off       enable/disable mid-query re-optimization
@@ -176,35 +173,6 @@ class Shell:
                     "model discounts vectorizable CPU terms"
                 )
             return "columnar execution off (row batches)"
-        if command == "parallel":
-            words = argument.split()
-            knob = words[0].lower() if words else ""
-            if knob == "on":
-                dop = 4
-                if len(words) == 2:
-                    try:
-                        dop = int(words[1])
-                    except ValueError:
-                        return f"not a number: {words[1]!r}"
-                    if dop < 2:
-                        return "degree of parallelism must be >= 2"
-                self.db.parallel_mode = True
-                self.db.max_dop = dop
-                # Cached plans were physicalized without exchanges.
-                self.db.plan_cache.clear()
-            elif knob == "off":
-                self.db.parallel_mode = False
-                self.db.plan_cache.clear()
-            elif knob:
-                return "usage: \\parallel [on [dop]|off]"
-            if self.db.parallel_mode:
-                return (
-                    "parallel execution: on "
-                    f"(max_dop={self.db.max_dop}); exchange regions fan "
-                    "across worker threads, gather merges restore serial "
-                    "row order"
-                )
-            return "parallel execution: off (single-threaded oracle)"
         if command == "budget":
             budget = self.db.budget
             return budget.describe() if budget is not None else "unlimited"

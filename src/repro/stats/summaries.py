@@ -197,13 +197,14 @@ def analyze_table(
             bucket_count=bucket_count,
             width_bytes=definition.width_bytes,
         )
-    stats = TableStats(
-        table=table,
-        row_count=float(heap.committed_row_count()),
-        page_count=float(heap.page_count),
-        columns=column_stats,
-    )
-    catalog.set_stats(table, stats)
+    with catalog.stats_lock:
+        stats = TableStats(
+            table=table,
+            row_count=float(heap.committed_row_count()),
+            page_count=float(heap.page_count),
+            columns=column_stats,
+        )
+        catalog.set_stats(table, stats)
     return stats
 
 

@@ -11,6 +11,7 @@ model's vocabulary.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.schema import TableSchema
@@ -129,9 +130,11 @@ class HeapTable:
         version bumps happen at commit only."""
         validated = self.schema.validate_row(row)
         with self.lock:
-            self._rows.append(validated)
-            row_id = len(self._rows) - 1
+            # Version metadata before the row: a reader that sees the
+            # row also sees that it is uncommitted.
+            row_id = len(self._rows)
             self._xmin[row_id] = txid
+            self._rows.append(validated)
             return row_id
 
     def mvcc_delete(self, row_id: int, txid: int) -> None:
@@ -177,9 +180,10 @@ class HeapTable:
     def row_visible(self, row_id: int, snapshot: Optional[Any] = None) -> bool:
         """Whether a row version is visible to ``snapshot``.
 
-        With ``snapshot=None`` (legacy direct-execute paths) the check is
-        read-latest: rows from aborted transactions and committed deletes
-        are hidden, everything else is visible.
+        With ``snapshot=None`` (no transaction manager, or ``execute``
+        called outside a Database) the check is read-latest: rows from
+        aborted transactions and committed deletes are hidden, everything
+        else is visible.
         """
         if not self._xmin and not self._xmax:
             return True
@@ -207,12 +211,19 @@ class HeapTable:
     def visible_rows(
         self, snapshot: Optional[Any] = None
     ) -> Iterator[Tuple[int, Row]]:
-        """Yield visible ``(row_id, row)`` pairs in heap order."""
+        """Yield visible ``(row_id, row)`` pairs in heap order.
+
+        A flat table yields the rows present at the call, counted before
+        the flatness check: rows a writer appends meanwhile carry version
+        metadata first and are not this reader's to see.
+        """
+        rows = self._rows
+        count = len(rows)
         if not self._xmin and not self._xmax:
-            return enumerate(iter(self._rows))
+            return islice(enumerate(rows), count)
         return (
             (row_id, row)
-            for row_id, row in enumerate(self._rows)
+            for row_id, row in enumerate(rows)
             if self.row_visible(row_id, snapshot)
         )
 

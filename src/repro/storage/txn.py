@@ -167,8 +167,14 @@ class TransactionManager:
     Storage-pure: knows nothing about catalogs, plan caches, or
     statistics.  Higher layers register callbacks instead:
 
-    * ``commit_hooks`` run once per commit (catalog-version bump, plan
-      cache / feedback / statistics invalidation).
+    * ``publish_hook`` runs once per writing commit in the critical
+      section where the commit leaves the active set, under
+      ``publish_lock``: the place to move whatever must agree with a
+      count of committed rows (table row counts).  A higher layer
+      installs its own lock as ``publish_lock`` and counts committed
+      rows under it, so no count sees a commit half published.
+    * ``commit_hooks`` run once per writing commit after it (catalog-
+      version bump, plan cache / feedback invalidation).
     * ``index_compactor`` follows a vacuum in a table's indexes: drops
       the dead rows' entries and re-points the rows it moved.
     * ``index_rebuilder`` rebuilds a table's indexes after recovery
@@ -185,6 +191,8 @@ class TransactionManager:
         self.wal = wal if wal is not None else WriteAheadLog()
         self._tables: Dict[str, HeapTable] = {}
         self._pinned = 0
+        self.publish_lock = threading.RLock()
+        self.publish_hook: Optional[Callable[[Transaction], None]] = None
         self.commit_hooks: List[Callable[[Transaction], None]] = []
         self.recovery_hooks: List[Callable[[List[str]], None]] = []
         self.index_compactor: Optional[
@@ -268,7 +276,7 @@ class TransactionManager:
         """Commit: write the commit record, publish versions, run the
         invalidation hooks, and bump each written table's data version
         (the only point where versions ever move)."""
-        with self._lock:
+        with self.publish_lock, self._lock:
             self._require_active(txn)
             if txn.written:
                 self.wal.append(WalRecord(COMMIT, txn.txid))
@@ -278,6 +286,8 @@ class TransactionManager:
             for table in txn.written.values():
                 table.bump_data_version()
                 table.runtime_cache.clear()
+            if txn.written and self.publish_hook is not None:
+                self.publish_hook(txn)
             hooks = list(self.commit_hooks) if txn.written else []
         for hook in hooks:
             hook(txn)

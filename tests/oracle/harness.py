@@ -39,13 +39,6 @@ NORMALIZATIONS = [
         "Normalized at render time: LIMIT -1 OFFSET n.",
     ),
     (
-        "sum-int-typing",
-        "SUM/AVG over INT columns stay int on our side but may surface as "
-        "float after joins or reorderings, and SQLite types them per its "
-        "own affinity rules.  Normalized in comparison: ints and floats "
-        "compare numerically, not by type.",
-    ),
-    (
         "float-summation-order",
         "different join orders sum floats in different sequences; the "
         "last-ulp jitter is not a semantic divergence.  Normalized in "
@@ -79,13 +72,16 @@ def canonical(rows: Sequence[Sequence[Any]]) -> List[Tuple]:
 
 
 def _values_equal(a: Any, b: Any) -> bool:
+    """Type-strict value equality: an int never equals a float (a bool
+    compares as the int it is); floats agree within the summation-order
+    tolerance."""
     if a is None or b is None:
         return a is None and b is None
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if isinstance(a, bool) != isinstance(b, bool):
-            a, b = int(a), int(b)
-        return math.isclose(
-            float(a), float(b), rel_tol=_REL_TOL, abs_tol=_ABS_TOL
+    if isinstance(a, float) or isinstance(b, float):
+        return (
+            isinstance(a, float)
+            and isinstance(b, float)
+            and math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
         )
     return a == b
 

@@ -254,81 +254,6 @@ def test_trap_chaos_outcome_is_deterministic():
     assert _trap_chaos_run(11) == _trap_chaos_run(11)
 
 
-def _orphan_workers():
-    import threading
-
-    return [
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith("repro-parallel-")
-    ]
-
-
-def test_chaos_parallel_engine_typed_errors_and_no_orphans():
-    """The robustness contract under intra-query parallelism at DOP 4.
-
-    Faults injected while gather regions fan work across worker
-    threads: every query must return the fault-free rows or raise a
-    typed error that propagates *out of the worker pool* (no hangs),
-    and after every query -- success or failure -- no parallel worker
-    thread may outlive its region.  Indexes are disabled so hash-join
-    regions actually place; the plan check below proves a meaningful
-    share of the workload really ran parallel.
-    """
-    from repro.engine.parallel import plan_parallel_regions
-
-    def build(rate: float, parallel: bool) -> Database:
-        injector = None
-        if rate > 0.0:
-            injector = FaultInjector(
-                FaultConfig(
-                    seed=SEED,
-                    page_read_error_rate=rate,
-                    index_lookup_error_rate=rate,
-                )
-            )
-        db = Database(
-            fault_injector=injector, parallel_mode=parallel, max_dop=4
-        )
-        build_emp_dept(
-            db.catalog,
-            emp_rows=600,
-            dept_rows=20,
-            rng=random.Random(3),
-            with_indexes=False,
-        )
-        db.analyze()
-        return db
-
-    clean = build(0.0, parallel=False)
-    chaotic = build(0.05, parallel=True)
-    rng = random.Random(SEED)
-    succeeded = 0
-    parallel_plans = 0
-    for _ in range(60):
-        sql = generate_query(rng)
-        expected = clean.sql(sql).rows
-        try:
-            result = chaotic.sql(sql)
-        except ReproError:
-            assert not _orphan_workers(), f"orphans after failed {sql!r}"
-            continue
-        except Exception as error:  # pragma: no cover - the bug we hunt
-            pytest.fail(f"untyped error under parallel chaos: {error!r}")
-        assert not _orphan_workers(), f"orphans after {sql!r}"
-        if result.plan is not None and plan_parallel_regions(result.plan):
-            parallel_plans += 1
-        assert_same_rows(result.rows, expected, msg=f"[parallel] {sql}")
-        succeeded += 1
-    assert succeeded > 30, f"only {succeeded} queries survived"
-    assert parallel_plans > 10, (
-        f"only {parallel_plans} surviving queries ran gather regions"
-    )
-    # The session is intact and still parallel afterwards.
-    chaotic.fault_injector = None
-    assert len(chaotic.sql("SELECT E.name AS c0 FROM Emp E").rows) == 600
-
-
 def test_different_seeds_produce_different_schedules():
     def run(seed):
         db = _make_db(rate=0.2, seed=seed)

@@ -603,9 +603,7 @@ def test_columnar_handler_set_is_pinned():
     assert _COLUMNAR_OPS == [
         "DeleteP",
         "DistinctP",
-        "ExchangeP",
         "FilterP",
-        "GatherP",
         "HashAggP",
         "HashJoinP",
         "InsertP",

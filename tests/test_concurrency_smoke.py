@@ -327,6 +327,58 @@ def test_admission_stampede_sheds_typed_and_never_hangs():
     assert snapshot["peak_running"] <= 4
 
 
+def test_transfer_committing_mid_scan_stays_invisible_to_the_scan():
+    """A transaction that commits while a read is mid-scan is not in the
+    read's result, even when it is the database's first write.
+
+    One-row batches keep the scan suspended between rows; a UDF in the
+    filter runs a whole transfer on another thread the first time it is
+    called, so the commit lands deterministically between two rows of
+    the scan.  The read must return the four pre-transfer rows.
+    """
+    from repro.catalog import Column, ColumnType
+    from repro.cost.parameters import DEFAULT_PARAMETERS
+
+    db = Database(params=DEFAULT_PARAMETERS.with_overrides(batch_size=1))
+    table = db.create_table(
+        "Acct",
+        [
+            Column("id", ColumnType.INT, nullable=False),
+            Column("balance", ColumnType.INT, nullable=False),
+        ],
+        primary_key=["id"],
+    )
+    for account in range(4):
+        table.insert((account, 100))
+    db.analyze()
+
+    def transfer() -> None:
+        db.sql("BEGIN")
+        db.sql("UPDATE Acct SET balance = balance - 1 WHERE id = 0")
+        db.sql("UPDATE Acct SET balance = balance + 1 WHERE id = 3")
+        db.sql("COMMIT")
+
+    transfers = []
+
+    def transfer_once(_balance) -> bool:
+        if not transfers:
+            writer = threading.Thread(target=transfer)
+            transfers.append(writer)
+            writer.start()
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+        return True
+
+    db.register_udf("transfer_once", transfer_once)
+    rows = db.sql(
+        "SELECT A.id, A.balance FROM Acct A WHERE transfer_once(A.balance)"
+    ).rows
+    assert transfers, "the transfer never ran mid-scan"
+    assert sorted(rows) == [(0, 100), (1, 100), (2, 100), (3, 100)]
+    after = db.sql("SELECT A.id, A.balance FROM Acct A").rows
+    assert sorted(after) == [(0, 99), (1, 100), (2, 100), (3, 101)]
+
+
 # ----------------------------------------------------------------------
 # Writer stampede: snapshot isolation and first-writer-wins conflicts
 # ----------------------------------------------------------------------

@@ -312,55 +312,6 @@ def test_differential_batch_engine_vs_oracles(diff_db):
     report.raise_if_any()
 
 
-def _parallel_optimizer(db: Database) -> Optimizer:
-    """The session optimizer with exchange placement enabled (DOP 4)."""
-    optimizer = db.optimizer()
-    optimizer.physicalizer.parallel_mode = True
-    optimizer.physicalizer.max_dop = 4
-    return optimizer
-
-
-def _run_parallel(
-    db: Database, optimizer: Optimizer, sql: str, columnar: bool = False
-):
-    plan = optimizer.optimize(sql).physical
-    context = ExecContext(db.params)
-    context.parallel_mode = True
-    context.max_dop = 4
-    context.columnar_mode = columnar
-    _schema, rows = execute(plan, db.catalog, context)
-    return rows, plan
-
-
-def test_differential_parallel_engine(diff_db):
-    """200 seeded queries: parallel execution is bit-identical to serial.
-
-    Three checks per query: the exchange-placed plan run by the
-    parallel runtime (row driver, DOP 4) must match the serial batch
-    engine's rows exactly (order included); so must the columnar driver
-    over the same parallel plan; and the parallel plan executed with
-    ``parallel_mode`` off -- the serial pass-through oracle -- must be
-    indistinguishable from the plain serial plan.
-    """
-    rng = random.Random(SEED)
-    full = diff_db.optimizer()
-    par = _parallel_optimizer(diff_db)
-    for _ in range(QUERY_COUNT):
-        sql = generate_query(rng)
-        serial_rows = _run_with(diff_db, full, sql)
-        par_rows, plan = _run_parallel(diff_db, par, sql)
-        assert par_rows == serial_rows, f"parallel engine diverges on {sql!r}"
-        col_rows, _plan = _run_parallel(diff_db, par, sql, columnar=True)
-        assert col_rows == serial_rows, (
-            f"parallel columnar engine diverges on {sql!r}"
-        )
-        oracle = ExecContext(diff_db.params)
-        _schema, passthrough = execute(plan, diff_db.catalog, oracle)
-        assert passthrough == serial_rows, (
-            f"serial pass-through of the parallel plan diverges on {sql!r}"
-        )
-
-
 def test_differential_limit_queries(diff_db):
     """Windowed queries across plans and engines, vs the full-result slice.
 

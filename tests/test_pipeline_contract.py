@@ -46,9 +46,7 @@ from repro.physical.plans import (
     CheckP,
     CheckpointSourceP,
     DistinctP,
-    ExchangeP,
     FilterP,
-    GatherP,
     HashAggP,
     HashJoinP,
     INLJoinP,
@@ -65,7 +63,6 @@ from repro.physical.plans import (
     UdfFilterP,
     UnionAllP,
 )
-from repro.physical.properties import Partitioning, PartitionScheme
 
 ROWS = 64
 BATCH = 8
@@ -208,18 +205,6 @@ def _factories(catalog):
         inner = Get("U", "U", ["b"])
         return ApplyP(child, inner, "semi"), (child,)
 
-    def exchange_plan():
-        child = t()
-        part = Partitioning(PartitionScheme.BROADCAST, degree=2)
-        return ExchangeP(child, part), (child,)
-
-    def gather_plan():
-        # Contract probes run with parallel_mode off, where a gather is
-        # the serial pass-through; in parallel mode the region below it
-        # is driven by the exchange runtime instead (test_parallel_exec).
-        child = t()
-        return GatherP(child, 2), (child,)
-
     def check_plan():
         child = t()
         return CheckP(child, 0.0, float(ROWS * 2)), (child,)
@@ -253,8 +238,6 @@ def _factories(catalog):
         "UnionAllP": union_plan,
         "LimitP": limit_plan,
         "ApplyP": apply_plan,
-        "ExchangeP": exchange_plan,
-        "GatherP": gather_plan,
         "CheckP": check_plan,
         "CheckpointSourceP": checkpoint_source_plan,
     }
@@ -271,8 +254,6 @@ EXPECTED_FLAGS = {
     "ProjectP": (False,),
     "LimitP": (False,),
     "ApplyP": (False,),
-    "ExchangeP": (False,),
-    "GatherP": (False,),
     "INLJoinP": (False,),
     "NLJoinP": (False, True),
     "HashJoinP": (False, True),

@@ -771,3 +771,28 @@ def test_analyze_inside_a_transaction_counts_committed_rows_only():
     db.sql("COMMIT")
     _assert_quiescent_invariants(db)
     assert db.catalog.stats("T").row_count == 119
+
+
+def test_analyze_racing_a_commit_never_counts_it_twice():
+    """An ANALYZE from another thread that runs as soon as a commit's rows
+    are committed must see the commit either counted or moved by its
+    delta, never both.  The commit hook placed first is the earliest
+    point a commit exposes after its rows become committed; ANALYZE runs
+    there on a second thread and finishes before the commit returns."""
+    import threading
+
+    db = _keyed_db()
+    manager = db.txn_manager
+
+    def analyze_on_another_thread(_txn) -> None:
+        thread = threading.Thread(target=db.analyze)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    manager.commit_hooks.insert(0, analyze_on_another_thread)
+    db.sql("INSERT INTO T (k, g, v) VALUES (500, 1, 1)")
+    manager.commit_hooks.remove(analyze_on_another_thread)
+    assert db.catalog.table("T").committed_row_count() == 121
+    assert db.catalog.stats("T").row_count == 121
+    _assert_quiescent_invariants(db)
